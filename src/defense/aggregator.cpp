@@ -30,7 +30,9 @@ void Aggregator::begin_stream(std::size_t dim,
 }
 
 void Aggregator::stream_update(UpdateView update) {
-  do_stream_update(ingress_.admit_update(update));
+  // A buffered row is admitted with its matrix, as aggregate() would.
+  do_stream_update(supports_streaming() ? ingress_.admit_update(update)
+                                        : update);
 }
 
 void Aggregator::stream_replay(std::size_t index, UpdateView update) {
@@ -42,13 +44,14 @@ void Aggregator::stream_replay(std::size_t index, UpdateView update) {
 void Aggregator::do_begin_stream(std::size_t dim,
                                  std::span<const std::int64_t> weights) {
   (void)dim;
-  (void)weights;
-  ZKA_CHECK(false, "%s does not support streaming ingestion", name().c_str());
+  held_.clear();
+  held_.reserve(weights.size());
+  held_weights_.assign(weights.begin(), weights.end());
 }
 
 void Aggregator::do_stream_update(UpdateView update) {
-  (void)update;
-  ZKA_CHECK(false, "%s does not support streaming ingestion", name().c_str());
+  // zka-lint: allow(A8) -- views live until finish_stream (aggregator.h)
+  held_.push_back(update);
 }
 
 void Aggregator::do_stream_replay(std::size_t index, UpdateView update) {
@@ -58,8 +61,13 @@ void Aggregator::do_stream_replay(std::size_t index, UpdateView update) {
 }
 
 AggregationResult Aggregator::finish_stream() {
-  ZKA_CHECK(false, "%s does not support streaming ingestion", name().c_str());
-  return {};
+  ZKA_CHECK(held_.size() == held_weights_.size(),
+            "%s: %zu of %zu announced updates streamed", name().c_str(),
+            held_.size(), held_weights_.size());
+  AggregationResult result =
+      do_aggregate(ingress_.admit_updates(held_), held_weights_);
+  held_.clear();
+  return result;
 }
 
 std::vector<UpdateView> as_views(const std::vector<Update>& updates) {

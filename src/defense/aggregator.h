@@ -26,7 +26,8 @@ namespace zka::defense {
 using Update = std::vector<float>;
 
 /// Non-owning read-only view of one client's flat update. The pointee must
-/// outlive the aggregate() call (aggregators never retain views).
+/// outlive the call that receives it; a rule that buffers its stream holds
+/// views until finish_stream() (see the ingestion protocol below).
 using UpdateView = std::span<const float>;
 
 struct AggregationResult {
@@ -40,7 +41,7 @@ class Aggregator {
  public:
   virtual ~Aggregator() = default;
 
-  // The client-facing entry points (aggregate and the streaming quartet
+  // The client-facing entry points (aggregate and the stream protocol
   // below) are non-virtual template methods: they run the ingress
   // sanitize layer (defense/sanitize.h — finite-check every update row,
   // clamp outlier reported weights) and then dispatch to the protected
@@ -83,48 +84,44 @@ class Aggregator {
 
   virtual std::string name() const = 0;
 
-  // ── Streaming ingestion (production-scale rounds) ────────────────────
+  // ── Ingestion protocol ───────────────────────────────────────────────
   //
-  // Rules that can fold updates one at a time — without ever holding the
-  // round's full update matrix — opt in by overriding supports_streaming()
-  // and the three hooks below. The server then calls
+  // The server hands every round to the rule as one stream:
   //
-  //   begin_stream(dim, weights);        // all round weights, up front
-  //   stream_update(u_0); ... stream_update(u_{n-1});   // submission order
+  //   begin_stream(dim, weights);                      // all weights first
+  //   stream_update(u_0); ... stream_update(u_{n-1});  // submission order
+  //   for i in stream_replay_request():                // ascending
+  //     stream_replay(i, u_i);                         // same bits as pass 1
   //   finish_stream();
   //
-  // and may free each update buffer as soon as its stream_update returns,
-  // bounding server memory by the training-wave size instead of n.
+  // A rule that folds updates one at a time overrides supports_streaming()
+  // and the do_* hooks; the server may then free each update once its
+  // stream_update returns, holding one training wave instead of n. The
+  // replay pass is the sketched selection rules' bounded second look
+  // (defense/sketch.h): training is a pure function of (global model,
+  // seed), so the server re-derives a replayed update instead of storing
+  // it.
   //
-  // Between the last stream_update and finish_stream, the server asks
-  // stream_replay_request() for the (possibly empty) index set the rule
-  // wants to see again at full dimension — the bounded second pass behind
-  // the sketched selection rules (defense/sketch.h): ranking happens on
-  // O(k) sketches, and only the O(f + band) updates near the decision
-  // boundary are replayed for the exact re-check and the final mean.
-  // Client training is a pure function of (global model, seed), so the
-  // server re-derives a replayed update bit-for-bit instead of storing it.
+  // A rule that cannot fold overrides only do_aggregate, and the base
+  // hooks buffer its round: do_begin_stream keeps the admitted weights,
+  // do_stream_update keeps the caller's view, and finish_stream() admits
+  // the held rows as one matrix and calls do_aggregate — the call
+  // aggregate() makes. Its round is one wave: every view passed to
+  // stream_update must stay valid until finish_stream() returns.
   //
-  //   begin_stream(dim, weights);
-  //   stream_update(u_0); ... stream_update(u_{n-1});   // submission order
-  //   for i in stream_replay_request():                 // ascending
-  //     stream_replay(i, u_i);                          // same bits as pass 1
-  //   finish_stream();
-  //
-  // Contract: streaming produces a bitwise-identical model to aggregate()
-  // given the same updates in the same order whenever streaming_exact() is
-  // true — FedAvg folds with the exact per-coordinate accumulation order
-  // of tensor::weighted_sum, and the sketched Krum family computes the
-  // buffered path through the very same plan/replay sums. Rules that
-  // stream through a documented approximation (hierarchical tree
-  // median/trimmed-mean under a memory budget, statistic.h) return false
-  // from streaming_exact() and remain bitwise deterministic for a fixed
-  // arrival order and budget — just not equal to their batch rule unless
-  // the budget admits a single wave. Rules that truly need all n updates
-  // keep supports_streaming() false; for them the server's floor is
-  // n = clients_per_round buffers.
+  // Contract: whenever streaming_exact(), finish_stream() returns a model
+  // bitwise-identical to aggregate() on the same updates in the same
+  // order — trivially for the buffering default, and by accumulation order
+  // for FedAvg (tensor::weighted_sum's) and the sketched Krum family (the
+  // same plan/replay sums). The tree median/trimmed-mean under a memory
+  // budget (statistic.h) folds through a documented approximation: false
+  // from streaming_exact(), bitwise deterministic for a fixed arrival
+  // order and budget, and equal to the batch rule when one wave holds the
+  // round.
 
-  /// True when this rule implements the streaming hooks.
+  /// True when this rule folds each update as it arrives, so the server
+  /// may free an update once its stream_update returns. False (the
+  /// default) for rules that buffer the round.
   virtual bool supports_streaming() const noexcept { return false; }
 
   /// True when finish_stream() is guaranteed bitwise-identical to
@@ -133,13 +130,14 @@ class Aggregator {
   /// their agreement bounds.
   virtual bool streaming_exact() const noexcept { return true; }
 
-  /// Starts a streaming round: `dim` coordinates per update, one weight
-  /// per forthcoming stream_update call, in call order. Throws unless the
-  /// rule supports streaming.
+  /// Starts a round: `dim` coordinates per update, one weight per
+  /// forthcoming stream_update call, in call order.
   void begin_stream(std::size_t dim, std::span<const std::int64_t> weights);
 
-  /// Folds the next update (submission order). The view need only stay
-  /// valid for the duration of the call.
+  /// Submits the next update (submission order). A folding rule admits
+  /// and consumes the row now, so the view need only stay valid for the
+  /// call; a buffering rule holds the view, which must then stay valid
+  /// until finish_stream() returns.
   void stream_update(UpdateView update);
 
   /// After the last stream_update: the ascending index set (into the
@@ -157,7 +155,8 @@ class Aggregator {
 
   /// Finishes the round and returns the aggregate, exactly as aggregate()
   /// would have when streaming_exact(). Requires one stream_update per
-  /// begin_stream weight, plus every requested replay.
+  /// begin_stream weight, plus every requested replay. The default runs
+  /// do_aggregate on the buffered round.
   virtual AggregationResult finish_stream();
 
  protected:
@@ -167,6 +166,7 @@ class Aggregator {
   virtual AggregationResult do_aggregate(
       std::span<const UpdateView> updates,
       std::span<const std::int64_t> weights) = 0;
+  // Defaults: buffer the round (protocol note above); replays throw.
   virtual void do_begin_stream(std::size_t dim,
                                std::span<const std::int64_t> weights);
   virtual void do_stream_update(UpdateView update);
@@ -174,6 +174,9 @@ class Aggregator {
 
  private:
   sanitize::Ingress ingress_;
+  // The buffered round of a rule that cannot fold.
+  std::vector<UpdateView> held_;
+  std::vector<std::int64_t> held_weights_;
 };
 
 /// View list over a vector of owning updates (no copies).
@@ -204,12 +207,6 @@ struct AggregatorOptions {
   /// (median/trmean size their tree-aggregation wave from it). 0 = keep
   /// the batch path.
   std::size_t memory_budget_bytes = 0;
-  /// Ingress sanitization (defense/sanitize.h): zero non-finite update
-  /// coordinates and clamp outlier reported weights before any rule sees
-  /// them. Off = bitwise pass-through (the paper-faithful hostile server).
-  bool sanitize = true;
-  /// Reported-weight cap as a multiple of the round's median weight.
-  double sanitize_weight_cap_ratio = 8.0;
 };
 
 /// Named construction for benches/CLIs: fedavg, median, trmean, mkrum,

@@ -1,7 +1,6 @@
 #include "defense/krum.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "defense/distance.h"
@@ -125,8 +124,7 @@ AggregationResult MultiKrum::do_aggregate(std::span<const UpdateView> updates,
 
 void MultiKrum::do_begin_stream(std::size_t dim,
                              std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(), "%s: streaming needs sketch_dim > 0",
-            name().c_str());
+  if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
   ZKA_CHECK(!streaming_, "%s: begin_stream during an open stream",
             name().c_str());
   ZKA_CHECK(dim > 0, "%s: empty update dimension", name().c_str());
@@ -158,6 +156,7 @@ void MultiKrum::do_begin_stream(std::size_t dim,
 }
 
 void MultiKrum::do_stream_update(UpdateView update) {
+  if (!supports_streaming()) return Aggregator::do_stream_update(update);
   ZKA_PROF_SCOPE("aggregate/mkrum_stream");
   ZKA_CHECK(streaming_, "%s: stream_update without begin_stream",
             name().c_str());
@@ -167,10 +166,6 @@ void MultiKrum::do_stream_update(UpdateView update) {
   ZKA_CHECK(update.size() == stream_dim_,
             "%s: streamed update has %zu coordinates, expected %zu",
             name().c_str(), update.size(), stream_dim_);
-  for (const float value : update) {
-    ZKA_CHECK(std::isfinite(value), "%s: non-finite value in streamed update %zu",
-              name().c_str(), stream_next_);
-  }
   if (stream_buffered_) {
     stream_buffer_.emplace_back(update.begin(), update.end());
   } else {
@@ -184,6 +179,7 @@ void MultiKrum::do_stream_update(UpdateView update) {
 }
 
 std::span<const std::size_t> MultiKrum::stream_replay_request() {
+  if (!supports_streaming()) return Aggregator::stream_replay_request();
   ZKA_CHECK(streaming_, "%s: stream_replay_request without begin_stream",
             name().c_str());
   ZKA_CHECK(stream_next_ == stream_n_,
@@ -221,16 +217,18 @@ void MultiKrum::do_stream_replay(std::size_t index, UpdateView update) {
 }
 
 AggregationResult MultiKrum::finish_stream() {
+  if (!supports_streaming()) return Aggregator::finish_stream();
   ZKA_CHECK(streaming_, "%s: finish_stream without begin_stream",
             name().c_str());
   ZKA_CHECK(stream_next_ == stream_n_,
             "%s: %zu of %zu announced updates streamed", name().c_str(),
             stream_next_, stream_n_);
   if (stream_buffered_) {
+    // Rows and weights were admitted on the way in; run the exact rule.
     const std::vector<UpdateView> views = as_views(stream_buffer_);
     AggregationResult result =
-        aggregate(std::span<const UpdateView>(views),
-                  std::span<const std::int64_t>(stream_weights_));
+        do_aggregate(std::span<const UpdateView>(views),
+                     std::span<const std::int64_t>(stream_weights_));
     reset_stream();
     return result;
   }

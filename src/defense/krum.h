@@ -51,8 +51,10 @@ class MultiKrum : public Aggregator {
   // stream_update, the ranking happens at stream_replay_request() time,
   // and the requested O(f + band) updates return once more for the exact
   // re-check + final mean. Rounds where sketching does not apply (small
-  // n, low dim) silently buffer internally and run the exact rule, so
-  // finish_stream() always equals aggregate().
+  // n, low dim) silently copy the rows and run the exact rule, so
+  // finish_stream() always equals aggregate(). Without a sketch (or when
+  // iterative) the rule cannot fold, and the four stream hooks forward to
+  // the Aggregator buffering default.
   bool supports_streaming() const noexcept override {
     return sketch_.sketch_dim > 0 && !iterative_;
   }

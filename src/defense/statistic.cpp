@@ -1,7 +1,6 @@
 #include "defense/statistic.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "defense/coordwise.h"
 #include "util/check.h"
@@ -54,10 +53,6 @@ void check_stream_update(const CoordTreeStream& tree, UpdateView update,
   ZKA_CHECK(update.size() == tree.dim(),
             "%s: streamed update has %zu coordinates, expected %zu", rule,
             update.size(), tree.dim());
-  for (const float value : update) {
-    ZKA_CHECK(std::isfinite(value), "%s: non-finite value in streamed update %zu",
-              rule, tree.received());
-  }
 }
 
 void check_begin_stream(std::size_t dim, std::span<const std::int64_t> weights,
@@ -143,18 +138,20 @@ AggregationResult Median::do_aggregate(std::span<const UpdateView> updates,
 
 void Median::do_begin_stream(std::size_t dim,
                           std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(), "Median: streaming needs a memory budget");
+  if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
   check_begin_stream(dim, weights, "Median");
   tree_.begin(dim, weights.size(), coord_tree_wave(budget_, dim, weights.size()));
 }
 
 void Median::do_stream_update(UpdateView update) {
+  if (!supports_streaming()) return Aggregator::do_stream_update(update);
   ZKA_PROF_SCOPE("aggregate/median_stream");
   check_stream_update(tree_, update, "Median");
   tree_.add(Update(update.begin(), update.end()), median_of);
 }
 
 AggregationResult Median::finish_stream() {
+  if (!supports_streaming()) return Aggregator::finish_stream();
   AggregationResult result;
   result.model = tree_.finish(median_of);
   return result;
@@ -176,8 +173,7 @@ AggregationResult TrimmedMean::do_aggregate(
 
 void TrimmedMean::do_begin_stream(std::size_t dim,
                                std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(),
-            "TrimmedMean: streaming needs a memory budget");
+  if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
   check_begin_stream(dim, weights, "TrimmedMean");
   const std::size_t n = weights.size();
   ZKA_CHECK(n > 2 * trim_,
@@ -187,6 +183,7 @@ void TrimmedMean::do_begin_stream(std::size_t dim,
 }
 
 void TrimmedMean::do_stream_update(UpdateView update) {
+  if (!supports_streaming()) return Aggregator::do_stream_update(update);
   ZKA_PROF_SCOPE("aggregate/trmean_stream");
   check_stream_update(tree_, update, "TrimmedMean");
   tree_.add(Update(update.begin(), update.end()),
@@ -196,6 +193,7 @@ void TrimmedMean::do_stream_update(UpdateView update) {
 }
 
 AggregationResult TrimmedMean::finish_stream() {
+  if (!supports_streaming()) return Aggregator::finish_stream();
   AggregationResult result;
   result.model = tree_.finish([this](std::span<const UpdateView> rows) {
     return trimmed_mean_of(rows, trim_);

@@ -11,7 +11,8 @@
 // deterministic for a fixed arrival order and budget, and collapses to
 // the exact batch rule whenever one wave holds the whole round — but it
 // is not the batch statistic in general, so streaming_exact() is false
-// (see the contract note in aggregator.h).
+// under a budget (see the contract note in aggregator.h). Without one, the
+// rules buffer the round and are exact.
 #pragma once
 
 #include <functional>
@@ -58,7 +59,8 @@ std::size_t coord_tree_wave(std::size_t memory_budget_bytes, std::size_t dim,
 class Median : public Aggregator {
  public:
   /// `memory_budget_bytes` > 0 opts into approximate tree streaming (see
-  /// file comment); 0 keeps the batch-only rule.
+  /// file comment); 0 keeps the batch rule, whose stream hooks forward to
+  /// the Aggregator buffering default.
   explicit Median(std::size_t memory_budget_bytes = 0)
       : budget_(memory_budget_bytes) {}
 
@@ -68,7 +70,7 @@ class Median : public Aggregator {
   std::string name() const override { return "Median"; }
 
   bool supports_streaming() const noexcept override { return budget_ > 0; }
-  bool streaming_exact() const noexcept override { return false; }
+  bool streaming_exact() const noexcept override { return budget_ == 0; }
   void do_begin_stream(std::size_t dim,
                     std::span<const std::int64_t> weights) override;
   void do_stream_update(UpdateView update) override;
@@ -83,10 +85,11 @@ class TrimmedMean : public Aggregator {
  public:
   /// Removes the `trim` largest and `trim` smallest values per coordinate
   /// before averaging. Requires updates.size() > 2 * trim at aggregate time.
-  /// `memory_budget_bytes` > 0 opts into approximate tree streaming; each
-  /// tree node trims min(trim, (count − 1) / 2) — the full bound at every
-  /// node, a conservative (over-trimming, still robust) choice that equals
-  /// the batch rule when one wave holds the round.
+  /// `memory_budget_bytes` > 0 opts into approximate tree streaming (0
+  /// buffers, as for Median); each tree node trims
+  /// min(trim, (count − 1) / 2) — the full bound at every node, a
+  /// conservative (over-trimming, still robust) choice that equals the
+  /// batch rule when one wave holds the round.
   explicit TrimmedMean(std::size_t trim, std::size_t memory_budget_bytes = 0)
       : trim_(trim), budget_(memory_budget_bytes) {}
 
@@ -98,7 +101,7 @@ class TrimmedMean : public Aggregator {
   std::size_t trim() const noexcept { return trim_; }
 
   bool supports_streaming() const noexcept override { return budget_ > 0; }
-  bool streaming_exact() const noexcept override { return false; }
+  bool streaming_exact() const noexcept override { return budget_ == 0; }
   void do_begin_stream(std::size_t dim,
                     std::span<const std::int64_t> weights) override;
   void do_stream_update(UpdateView update) override;

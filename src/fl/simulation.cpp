@@ -144,6 +144,9 @@ SimulationResult Simulation::run(attack::Attack* attack) {
     return attack != nullptr &&
            static_cast<std::int64_t>(c) < num_malicious_;
   };
+  // An omniscient attack reads the round's whole benign update matrix, so
+  // its rounds are one wave.
+  const bool omniscient = attack != nullptr && attack->needs_benign_updates();
 
   // Round-loop working buffers, hoisted above the hot loop and reused via
   // clear()/resize(): every vector here is bounded by clients_per_round,
@@ -154,24 +157,19 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   const std::size_t round_k =
       static_cast<std::size_t>(config_.clients_per_round);
   std::vector<std::size_t> benign_ids;
-  std::vector<std::size_t> malicious_ids;
   std::vector<std::int64_t> benign_weights;
   std::vector<std::int64_t> median_scratch;
   std::vector<std::int64_t> weights;
   std::vector<std::size_t> wave_benign;
   std::vector<defense::Update> wave_updates;
-  std::vector<defense::Update> benign_updates;
-  std::vector<defense::UpdateView> updates;
-  std::vector<bool> is_malicious;  // sampling-order flags (selection DPR)
+  std::vector<bool> is_malicious;  // sampling-order flags
+  std::vector<std::size_t> slot_of(round_k);  // position -> wave_updates slot
   benign_ids.reserve(round_k);
-  malicious_ids.reserve(round_k);
   benign_weights.reserve(round_k);
   median_scratch.reserve(round_k);
   weights.reserve(round_k);
   wave_benign.reserve(round_k);
   wave_updates.reserve(round_k);
-  benign_updates.reserve(round_k);
-  updates.reserve(round_k);
   is_malicious.reserve(round_k);
 
   for (std::int64_t round = 0; round < config_.rounds; ++round) {
@@ -181,19 +179,16 @@ SimulationResult Simulation::run(attack::Attack* attack) {
     // Uniform client sampling without replacement: O(clients_per_round)
     // regardless of population (Floyd above Rng::kDenseSampleMax).
     const auto sampled = round_rng.sample_without_replacement(
-        static_cast<std::size_t>(population),
-        static_cast<std::size_t>(config_.clients_per_round));
+        static_cast<std::size_t>(population), round_k);
 
     benign_ids.clear();
-    malicious_ids.clear();
+    is_malicious.clear();
     for (const std::size_t c : sampled) {
-      if (is_malicious_id(c)) {
-        malicious_ids.push_back(c);
-      } else {
-        benign_ids.push_back(c);
-      }
+      is_malicious.push_back(is_malicious_id(c));
+      if (!is_malicious.back()) benign_ids.push_back(c);
     }
-    const bool have_malicious = !malicious_ids.empty();
+    const std::size_t malicious_sampled = round_k - benign_ids.size();
+    const bool have_malicious = malicious_sampled > 0;
 
     // Per-client FedAvg weights are client-reported sample counts: benign
     // clients report their true shard size (registry lookup, no
@@ -208,224 +203,143 @@ SimulationResult Simulation::run(attack::Attack* attack) {
     median_scratch.assign(benign_weights.begin(), benign_weights.end());
     const std::int64_t benign_median = median_weight(median_scratch);
 
+    // Every round is one stream. A folding defense under a memory budget
+    // takes it in budget-sized waves — train a wave, fold it, free it. Any
+    // other round is one wave of all K clients (the defense holds every
+    // view until finish_stream, or an omniscient attack reads them all),
+    // so K live buffers is the floor and a smaller budget is an error.
+    std::size_t wave = round_k;
+    if (config_.memory_budget_bytes > 0) {
+      if (aggregator_->supports_streaming() && !omniscient) {
+        // The crafted buffer stays live across every wave, so it counts
+        // against the budget alongside the wave's training slots. Peak
+        // live bytes are therefore <= max(budget, 2 * update_bytes) — the
+        // floor being one training slot plus the crafted update.
+        const std::size_t capacity =
+            config_.memory_budget_bytes / update_bytes;
+        wave = std::clamp<std::size_t>(
+            have_malicious && capacity > 1 ? capacity - 1 : capacity,
+            std::size_t{1}, round_k);
+      } else {
+        ZKA_CHECK(config_.memory_budget_bytes >= round_k * update_bytes,
+                  "Simulation: %s cannot stream, so the round needs %zu "
+                  "update bytes, above memory_budget_bytes %zu — raise the "
+                  "budget or use a streaming defense",
+                  aggregator_->name().c_str(), round_k * update_bytes,
+                  config_.memory_budget_bytes);
+      }
+    }
+
     defense::Update malicious_update;
     std::int64_t malicious_weight = 0;
-    const auto craft =
-        [&](const std::vector<defense::Update>* round_benign) {
-          ZKA_PROF_SCOPE("attack_craft");
-          attack::AttackContext ctx;
-          ctx.global_model = global;
-          ctx.prev_global_model = prev_global;
-          ctx.benign_updates =
-              attack->needs_benign_updates() ? round_benign : nullptr;
-          ctx.round = round;
-          ctx.num_selected = config_.clients_per_round;
-          ctx.num_malicious_selected =
-              static_cast<std::int64_t>(malicious_ids.size());
-          ctx.learning_rate = config_.client.learning_rate;
-          ctx.benign_median_weight = benign_median;
-          malicious_update = attack->craft(ctx);
-          ZKA_CHECK(malicious_update.size() == global.size(),
-                    "%s crafted %zu params, model has %zu",
-                    attack->name().c_str(), malicious_update.size(),
-                    global.size());
-          malicious_weight = attack->reported_weight(ctx);
-          ZKA_CHECK(malicious_weight >= 0,
-                    "%s reported negative weight %lld",
-                    attack->name().c_str(),
-                    static_cast<long long>(malicious_weight));
-        };
-
-    // Streaming ingestion: with a fold-capable defense (and an attack that
-    // does not demand the full benign update matrix) the round proceeds in
-    // waves sized by the memory budget — train a wave, fold it, free it —
-    // so the server never holds more than one wave of updates.
-    const bool streaming =
-        config_.memory_budget_bytes > 0 && aggregator_->supports_streaming() &&
-        (attack == nullptr || !attack->needs_benign_updates());
-
-    defense::AggregationResult agg;
-    is_malicious.clear();
+    // Trains the clients in wave_benign into wave_updates (parallel,
+    // deterministic seeds; every slot is overwritten) and tracks the live
+    // update bytes: the wave's slots plus the shared crafted buffer.
     std::size_t round_peak_bytes = 0;
-
-    if (streaming) {
-      // Data-free crafting: the attack sees the global models but no
-      // benign updates (none exist yet — waves train after crafting).
-      if (have_malicious) craft(nullptr);
-
-      weights.clear();
-      std::size_t benign_cursor = 0;
-      for (const std::size_t c : sampled) {
-        const bool mal = is_malicious_id(c);
-        is_malicious.push_back(mal);
-        weights.push_back(mal ? malicious_weight
-                              : benign_weights[benign_cursor++]);
-      }
-      aggregator_->begin_stream(global.size(), weights);
-
-      // The crafted buffer stays live across every wave, so it counts
-      // against the budget alongside the wave's training slots. Peak live
-      // bytes are therefore <= max(budget, 2 * update_bytes) — the floor
-      // being one training slot plus the crafted update.
-      const std::size_t capacity =
-          config_.memory_budget_bytes / update_bytes;
-      const std::size_t wave = std::clamp<std::size_t>(
-          have_malicious && capacity > 1 ? capacity - 1 : capacity,
-          std::size_t{1}, sampled.size());
-      for (std::size_t start = 0; start < sampled.size(); start += wave) {
-        const std::size_t end = std::min(start + wave, sampled.size());
-        wave_benign.clear();
-        for (std::size_t i = start; i < end; ++i) {
-          if (!is_malicious_id(sampled[i])) wave_benign.push_back(sampled[i]);
-        }
-        // Slots beyond the previous wave's size are fresh; retained slots
-        // are overwritten by train_client_ before the fold reads them.
-        wave_updates.resize(wave_benign.size());
-        {
-          ZKA_PROF_SCOPE("client_train");
-          const auto train_one = [&](std::size_t k) {
-            train_client_(wave_benign[k], round, global, wave_updates[k]);
-          };
-          if (config_.parallel_clients) {
-            util::global_thread_pool().parallel_for(wave_benign.size(),
-                                                    train_one);
-          } else {
-            for (std::size_t k = 0; k < wave_benign.size(); ++k) {
-              train_one(k);
-            }
-          }
-        }
-        round_peak_bytes = std::max(
-            round_peak_bytes,
-            (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
-        {
-          ZKA_PROF_SCOPE("aggregate");
-          std::size_t wave_cursor = 0;
-          for (std::size_t i = start; i < end; ++i) {
-            aggregator_->stream_update(is_malicious_id(sampled[i])
-                                           ? defense::UpdateView(
-                                                 malicious_update)
-                                           : defense::UpdateView(
-                                                 wave_updates[wave_cursor++]));
-          }
-          ZKA_DCHECK(wave_cursor == wave_updates.size(),
-                     "round %lld: wave folded %zu of %zu benign updates",
-                     static_cast<long long>(round), wave_cursor,
-                     wave_updates.size());
-        }
-      }
-      // Replay pass: a sketched defense asks for a bounded index set back
-      // at full dimension (the exact re-check of its selection boundary).
-      // Training is a pure function of (global model, seed) — the global
-      // has not advanced yet — so re-training a benign client reproduces
-      // its first-pass update bit-for-bit, and sybils re-submit the one
-      // crafted buffer. Replays train in waves under the same budget.
-      const auto replay = aggregator_->stream_replay_request();
-      for (std::size_t start = 0; start < replay.size();) {
-        wave_benign.clear();
-        std::size_t end = start;
-        while (end < replay.size() && wave_benign.size() < wave) {
-          const std::size_t c = sampled[replay[end]];
-          if (!is_malicious_id(c)) wave_benign.push_back(c);
-          ++end;
-        }
-        wave_updates.resize(wave_benign.size());
-        {
-          ZKA_PROF_SCOPE("client_train");
-          const auto train_one = [&](std::size_t k) {
-            train_client_(wave_benign[k], round, global, wave_updates[k]);
-          };
-          if (config_.parallel_clients) {
-            util::global_thread_pool().parallel_for(wave_benign.size(),
-                                                    train_one);
-          } else {
-            for (std::size_t k = 0; k < wave_benign.size(); ++k) {
-              train_one(k);
-            }
-          }
-        }
-        round_peak_bytes = std::max(
-            round_peak_bytes,
-            (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
-        {
-          ZKA_PROF_SCOPE("aggregate");
-          std::size_t wave_cursor = 0;
-          for (std::size_t i = start; i < end; ++i) {
-            const std::size_t idx = replay[i];
-            aggregator_->stream_replay(
-                idx, is_malicious_id(sampled[idx])
-                         ? defense::UpdateView(malicious_update)
-                         : defense::UpdateView(wave_updates[wave_cursor++]));
-          }
-        }
-        start = end;
-      }
-      {
-        ZKA_PROF_SCOPE("aggregate");
-        agg = aggregator_->finish_stream();
-      }
-    } else {
-      // Buffered path: the defense (or an omniscient attack) needs the
-      // round's full update matrix, so the floor is clients_per_round live
-      // buffers; a budget below that is a configuration error, not
-      // something to paper over silently.
-      ZKA_CHECK(
-          config_.memory_budget_bytes == 0 ||
-              config_.memory_budget_bytes >= sampled.size() * update_bytes,
-          "Simulation: %s cannot stream, so the round needs %zu update "
-          "bytes, above memory_budget_bytes %zu — raise the budget or use "
-          "a streaming defense",
-          aggregator_->name().c_str(), sampled.size() * update_bytes,
-          config_.memory_budget_bytes);
-
-      // Benign local training (parallel across clients, deterministic
-      // seeds). Every slot in [0, benign_ids.size()) is overwritten.
-      benign_updates.resize(benign_ids.size());
+    const auto train_wave = [&] {
+      wave_updates.resize(wave_benign.size());
       {
         ZKA_PROF_SCOPE("client_train");
         const auto train_one = [&](std::size_t k) {
-          train_client_(benign_ids[k], round, global, benign_updates[k]);
+          train_client_(wave_benign[k], round, global, wave_updates[k]);
         };
         if (config_.parallel_clients) {
-          util::global_thread_pool().parallel_for(benign_ids.size(),
+          util::global_thread_pool().parallel_for(wave_benign.size(),
                                                   train_one);
         } else {
-          for (std::size_t k = 0; k < benign_ids.size(); ++k) train_one(k);
+          for (std::size_t k = 0; k < wave_benign.size(); ++k) train_one(k);
         }
       }
+      round_peak_bytes = std::max(
+          round_peak_bytes,
+          (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
+    };
+    // Queues sampled position i's client for the next wave (sybils train
+    // nothing) and the update position i submits: a view of the one
+    // crafted buffer for a sybil, else of the client's training slot.
+    const auto enqueue = [&](std::size_t i) {
+      if (is_malicious[i]) return;
+      slot_of[i] = wave_benign.size();
+      wave_benign.push_back(sampled[i]);
+    };
+    const auto submission = [&](std::size_t i) {
+      return is_malicious[i] ? defense::UpdateView(malicious_update)
+                             : defense::UpdateView(wave_updates[slot_of[i]]);
+    };
+    const auto train_first_pass_wave = [&](std::size_t start) {
+      wave_benign.clear();
+      for (std::size_t i = start; i < std::min(start + wave, round_k); ++i) {
+        enqueue(i);
+      }
+      train_wave();
+    };
+    train_first_pass_wave(0);
 
-      // Craft the malicious update once; all malicious clients submit it.
-      if (have_malicious) craft(&benign_updates);
+    // Craft once, after the first wave trained (for an omniscient attack,
+    // the whole benign round); every malicious client submits the result.
+    if (have_malicious) {
+      ZKA_PROF_SCOPE("attack_craft");
+      attack::AttackContext ctx;
+      ctx.global_model = global;
+      ctx.prev_global_model = prev_global;
+      ctx.benign_updates = omniscient ? &wave_updates : nullptr;
+      ctx.round = round;
+      ctx.num_selected = config_.clients_per_round;
+      ctx.num_malicious_selected = static_cast<std::int64_t>(malicious_sampled);
+      ctx.learning_rate = config_.client.learning_rate;
+      ctx.benign_median_weight = benign_median;
+      malicious_update = attack->craft(ctx);
+      ZKA_CHECK(malicious_update.size() == global.size(),
+                "%s crafted %zu params, model has %zu", attack->name().c_str(),
+                malicious_update.size(), global.size());
+      malicious_weight = attack->reported_weight(ctx);
+      ZKA_CHECK(malicious_weight >= 0, "%s reported negative weight %lld",
+                attack->name().c_str(),
+                static_cast<long long>(malicious_weight));
+    }
 
-      // Assemble the round's submissions in sampling order as views: every
-      // malicious client shares the one crafted buffer instead of deep
-      // copies, and benign updates stay in their training slots.
-      updates.clear();
-      weights.clear();
-      std::size_t benign_cursor = 0;
-      for (const std::size_t c : sampled) {
-        const bool mal = is_malicious_id(c);
-        is_malicious.push_back(mal);
-        if (mal) {
-          updates.emplace_back(malicious_update);
-          weights.push_back(malicious_weight);
-        } else {
-          updates.emplace_back(benign_updates[benign_cursor]);
-          weights.push_back(benign_weights[benign_cursor]);
-          ++benign_cursor;
+    weights.clear();
+    for (std::size_t i = 0, b = 0; i < round_k; ++i) {
+      weights.push_back(is_malicious[i] ? malicious_weight
+                                        : benign_weights[b++]);
+    }
+    aggregator_->begin_stream(global.size(), weights);
+    for (std::size_t start = 0; start < round_k; start += wave) {
+      if (start > 0) train_first_pass_wave(start);
+      ZKA_PROF_SCOPE("aggregate");
+      for (std::size_t i = start; i < std::min(start + wave, round_k); ++i) {
+        aggregator_->stream_update(submission(i));
+      }
+    }
+
+    // Replay pass: a sketched defense asks for an ascending index set back
+    // at full dimension (the exact re-check of its selection boundary). A
+    // one-wave round still holds every update in its slot. Otherwise the
+    // requested clients re-train in waves under the same budget: training
+    // is a pure function of (global model, seed), and the global has not
+    // advanced yet, so the replayed bits match the first pass.
+    const auto replay = aggregator_->stream_replay_request();
+    for (std::size_t start = 0; start < replay.size();) {
+      std::size_t end = start;
+      if (wave == round_k) {
+        end = replay.size();
+      } else {
+        wave_benign.clear();
+        for (; end < replay.size() && wave_benign.size() < wave; ++end) {
+          enqueue(replay[end]);
         }
+        train_wave();
       }
-      ZKA_DCHECK(benign_cursor == benign_updates.size(),
-                 "round %lld: %zu benign updates assembled, %zu trained",
-                 static_cast<long long>(round), benign_cursor,
-                 benign_updates.size());
-      round_peak_bytes =
-          (benign_updates.size() + (have_malicious ? 1 : 0)) * update_bytes;
-
-      {
-        ZKA_PROF_SCOPE("aggregate");
-        agg = aggregator_->aggregate(updates, weights);
+      ZKA_PROF_SCOPE("aggregate");
+      for (std::size_t r = start; r < end; ++r) {
+        aggregator_->stream_replay(replay[r], submission(replay[r]));
       }
+      start = end;
+    }
+    defense::AggregationResult agg;
+    {
+      ZKA_PROF_SCOPE("aggregate");
+      agg = aggregator_->finish_stream();
     }
     result.peak_update_bytes =
         std::max(result.peak_update_bytes, round_peak_bytes);
@@ -434,8 +348,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
 
     RoundRecord record;
     record.round = round;
-    record.malicious_selected =
-        static_cast<std::int64_t>(malicious_ids.size());
+    record.malicious_selected = static_cast<std::int64_t>(malicious_sampled);
     record.benign_selected = static_cast<std::int64_t>(benign_ids.size());
     if (aggregator_->selects_clients()) {
       for (const std::size_t idx : agg.selected) {

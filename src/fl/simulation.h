@@ -12,9 +12,11 @@
 //     bit-compatible with historical seeds;
 //   * production (population > 0): a lazy ClientRegistry over a
 //     HashedShardSpec instantiates only the clients sampled this round;
-//     sampling is O(K) (Floyd), and with a streaming-capable defense the
-//     server trains in waves sized by `memory_budget_bytes`, never holding
-//     more than a wave of updates at once.
+//     sampling is O(K) (Floyd).
+// Every round is one stream (defense/aggregator.h): train the first wave,
+// craft once, then begin_stream, stream_update wave by wave, replay,
+// finish_stream — in waves sized by `memory_budget_bytes` when the
+// defense folds, else as one wave of all K clients.
 #pragma once
 
 #include <cmath>
@@ -88,16 +90,15 @@ struct SimulationConfig {
   /// Per-device shard size in production mode (clamped to train_size).
   std::int64_t samples_per_client = 32;
   /// Server memory budget for update ingestion, in bytes. 0 = unbounded.
-  /// With a streaming defense (FedAvg; sketched mkrum/krum via sketch_dim;
-  /// median/trmean through tree aggregation) the round trains in waves of
-  /// floor(budget / update_bytes) clients (minimum 1) and folds each wave
+  /// With a defense that folds (FedAvg; sketched mkrum/krum via sketch_dim;
+  /// median/trmean through tree aggregation) and a data-free attack, the
+  /// round trains in waves of floor(budget / update_bytes) clients
+  /// (minimum 1; the crafted buffer takes one slot) and folds each wave
   /// before training the next, so at most one wave of updates is live.
-  /// Defenses that request a streaming replay (the sketched rules' exact
-  /// re-check) get the requested clients re-trained in waves under the
-  /// same budget — training is a pure function of (global, seed), so the
-  /// replayed bits match the first pass. Non-streaming defenses need all
-  /// clients_per_round updates at once; configuring a budget below that
-  /// throws at run() time.
+  /// Replays (the sketched rules' exact re-check) re-train in waves under
+  /// the same budget — training is a pure function of (global, seed), so
+  /// the bits match the first pass. Any other round is one wave of
+  /// clients_per_round updates; a budget below that throws at run() time.
   std::size_t memory_budget_bytes = 0;
   /// Materialize every lazy shard up front (testing / memory-comparison
   /// knob; production mode only). Must be bitwise-equivalent to the lazy

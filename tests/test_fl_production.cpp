@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "fl/registry.h"
 #include "fl/simulation.h"
+#include "nn/module.h"
 #include "util/rng.h"
 
 namespace zka::fl {
@@ -160,6 +161,36 @@ TEST(ProductionSimulation, StreamingBitwiseEqualsBufferedAndBoundsMemory) {
   EXPECT_LE(streaming_result.peak_update_bytes, config.memory_budget_bytes);
   EXPECT_LT(streaming_result.peak_update_bytes,
             buffered_result.peak_update_bytes);
+}
+
+TEST(ProductionSimulation, SketchedReplayFromLiveSlotsMatchesRetrainedReplay) {
+  // Sketched mKrum asks for a replay set after the first pass. A one-wave
+  // round (no budget) serves it from the still-live training slots; a
+  // budgeted round re-trains it in waves. Training is a pure function of
+  // (global model, seed), so both must reach the same model and the same
+  // selections bit for bit.
+  SimulationConfig config = production_config();
+  config.defense = "mkrum";
+  config.sketch_dim = 64;
+  config.malicious_fraction = 0.01;
+  const std::size_t update_bytes =
+      nn::get_flat_params(*models::task_model_factory(config.task)(1)).size() *
+      sizeof(float);
+
+  attack::RandomWeightsAttack attack_a(0.5f, 33);
+  const auto one_wave = Simulation(config).run(&attack_a);
+  config.memory_budget_bytes = 4 * update_bytes;
+  attack::RandomWeightsAttack attack_b(0.5f, 33);
+  const auto waves = Simulation(config).run(&attack_b);
+
+  expect_same_result(one_wave, waves);
+  for (std::size_t r = 0; r < one_wave.rounds.size(); ++r) {
+    EXPECT_EQ(one_wave.rounds[r].malicious_passed,
+              waves.rounds[r].malicious_passed);
+    EXPECT_EQ(one_wave.rounds[r].benign_passed, waves.rounds[r].benign_passed);
+  }
+  EXPECT_LE(waves.peak_update_bytes, config.memory_budget_bytes);
+  EXPECT_LT(waves.peak_update_bytes, one_wave.peak_update_bytes);
 }
 
 TEST(ProductionSimulation, NonStreamingDefenseRejectsTinyBudget) {

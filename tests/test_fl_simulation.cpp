@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "attack/random_weights.h"
@@ -13,6 +16,7 @@
 #include "defense/fedavg.h"
 #include "defense/fltrust.h"
 #include "fl/metrics.h"
+#include "nn/module.h"
 
 namespace zka::fl {
 namespace {
@@ -304,7 +308,8 @@ TEST(Simulation, IidPartitionWhenBetaNonPositive) {
 }
 
 // FedAvg wrapper that records the weight vector of every round, for
-// asserting the server-side weight-assembly semantics. Ingress
+// asserting the server-side weight-assembly semantics. Every round opens
+// with begin_stream, which carries the round's weights. Ingress
 // sanitization is disabled so the capture sees the round loop's raw
 // client-reported weights, not the clamped ones.
 class WeightCaptureFedAvg : public defense::FedAvg {
@@ -313,11 +318,10 @@ class WeightCaptureFedAvg : public defense::FedAvg {
       : log_(log) {
     set_sanitize({.enabled = false});
   }
-  defense::AggregationResult do_aggregate(
-      std::span<const defense::UpdateView> updates,
-      std::span<const std::int64_t> weights) override {
+  void do_begin_stream(std::size_t dim,
+                       std::span<const std::int64_t> weights) override {
     log_->emplace_back(weights.begin(), weights.end());
-    return defense::FedAvg::do_aggregate(updates, weights);
+    defense::FedAvg::do_begin_stream(dim, weights);
   }
 
  private:
@@ -382,6 +386,138 @@ TEST(Simulation, MaliciousWeightIsAttackerReported) {
     EXPECT_EQ(sentinels, result.rounds[r].malicious_selected);
   }
 }
+
+// A forwarding decorator shaped like the benchmark's timing wrapper: it
+// overrides every Aggregator virtual and forwards each hook to the inner
+// rule's public entry point, with its own ingress off so the inner rule is
+// the only sanitizer. Any hook it failed to forward (or forwarded to the
+// wrong entry point) shows up as a result that differs from the bare rule.
+class ForwardingAggregator final : public defense::Aggregator {
+ public:
+  explicit ForwardingAggregator(std::unique_ptr<defense::Aggregator> inner)
+      : inner_(std::move(inner)) {
+    set_sanitize({.enabled = false});
+  }
+
+  void begin_round(std::span<const float> global_model,
+                   std::int64_t round) override {
+    inner_->begin_round(global_model, round);
+  }
+  bool selects_clients() const noexcept override {
+    return inner_->selects_clients();
+  }
+  std::string name() const override { return inner_->name(); }
+  bool supports_streaming() const noexcept override {
+    return inner_->supports_streaming();
+  }
+  bool streaming_exact() const noexcept override {
+    return inner_->streaming_exact();
+  }
+  std::span<const std::size_t> stream_replay_request() override {
+    return inner_->stream_replay_request();
+  }
+  defense::AggregationResult finish_stream() override {
+    return inner_->finish_stream();
+  }
+
+ protected:
+  defense::AggregationResult do_aggregate(
+      std::span<const defense::UpdateView> updates,
+      std::span<const std::int64_t> weights) override {
+    return inner_->aggregate(updates, weights);
+  }
+  void do_begin_stream(std::size_t dim,
+                       std::span<const std::int64_t> weights) override {
+    inner_->begin_stream(dim, weights);
+  }
+  void do_stream_update(defense::UpdateView update) override {
+    inner_->stream_update(update);
+  }
+  void do_stream_replay(std::size_t index,
+                        defense::UpdateView update) override {
+    inner_->stream_replay(index, update);
+  }
+
+ private:
+  std::unique_ptr<defense::Aggregator> inner_;
+};
+
+struct DecoratorCase {
+  const char* defense;
+  std::size_t sketch_dim;
+  std::size_t budget_updates;  // memory budget in updates; 0 = unbounded
+};
+
+void PrintTo(const DecoratorCase& c, std::ostream* os) {
+  *os << c.defense << " sketch_dim=" << c.sketch_dim
+      << " budget_updates=" << c.budget_updates;
+}
+
+class ForwardingDecoratorParity
+    : public ::testing::TestWithParam<DecoratorCase> {};
+
+TEST_P(ForwardingDecoratorParity, SimulationBitwiseEqualsBareRule) {
+  const DecoratorCase c = GetParam();
+  SimulationConfig config = tiny_config();
+  config.clients_per_round = 10;  // n >= 8 lets the sketched path engage
+  config.rounds = 3;
+  config.malicious_fraction = 0.2;
+  config.defense = c.defense;
+  config.sketch_dim = c.sketch_dim;
+  const std::size_t update_bytes =
+      nn::get_flat_params(*models::task_model_factory(config.task)(1)).size() *
+      sizeof(float);
+  config.memory_budget_bytes = c.budget_updates * update_bytes;
+
+  attack::RandomWeightsAttack bare_attack(0.5f, 5);
+  const SimulationResult bare = Simulation(config).run(&bare_attack);
+
+  defense::AggregatorOptions options;  // what Simulation passes the factory
+  options.num_byzantine = config.defense_f;
+  options.sketch_dim = config.sketch_dim;
+  options.memory_budget_bytes = config.memory_budget_bytes;
+  config.custom_defense = [options, name = config.defense] {
+    return std::make_unique<ForwardingAggregator>(
+        defense::make_aggregator(name, options));
+  };
+  attack::RandomWeightsAttack decorated_attack(0.5f, 5);
+  const SimulationResult decorated =
+      Simulation(config).run(&decorated_attack);
+
+  ASSERT_EQ(bare.final_model.size(), decorated.final_model.size());
+  EXPECT_EQ(0, std::memcmp(bare.final_model.data(),
+                           decorated.final_model.data(),
+                           bare.final_model.size() * sizeof(float)));
+  EXPECT_EQ(bare.peak_update_bytes, decorated.peak_update_bytes);
+  ASSERT_EQ(bare.rounds.size(), decorated.rounds.size());
+  for (std::size_t r = 0; r < bare.rounds.size(); ++r) {
+    EXPECT_EQ(bare.rounds[r].malicious_selected,
+              decorated.rounds[r].malicious_selected);
+    EXPECT_EQ(bare.rounds[r].malicious_passed,
+              decorated.rounds[r].malicious_passed);
+    EXPECT_EQ(bare.rounds[r].benign_selected,
+              decorated.rounds[r].benign_selected);
+    EXPECT_EQ(bare.rounds[r].benign_passed, decorated.rounds[r].benign_passed);
+    EXPECT_EQ(0, std::memcmp(&bare.rounds[r].accuracy,
+                             &decorated.rounds[r].accuracy, sizeof(double)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, ForwardingDecoratorParity,
+    ::testing::Values(DecoratorCase{"fedavg", 0, 0},
+                      DecoratorCase{"fedavg", 0, 4},
+                      DecoratorCase{"median", 0, 0},
+                      DecoratorCase{"median", 0, 4},
+                      DecoratorCase{"mkrum", 0, 0},
+                      DecoratorCase{"mkrum", 64, 0},
+                      DecoratorCase{"mkrum", 64, 4},
+                      DecoratorCase{"bulyan", 0, 0}),
+    [](const ::testing::TestParamInfo<DecoratorCase>& info) {
+      const DecoratorCase& c = info.param;
+      return std::string(c.defense) + (c.sketch_dim > 0 ? "_sketch" : "") +
+             (c.budget_updates > 0 ? "_budget" : "");
+    });
 
 TEST(Simulation, DefaultReportedWeightIsBenignMedian) {
   attack::RandomWeightsAttack attack(0.5f, 12);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -16,6 +17,7 @@
 #include "attack/nan_injection.h"
 #include "defense/aggregator.h"
 #include "defense/fedavg.h"
+#include "defense/statistic.h"
 #include "fl/simulation.h"
 
 namespace zka::defense {
@@ -171,6 +173,35 @@ TEST(SanitizedStreaming, StreamMatchesBatchOnPoisonedInput) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(streamed[i], expected[i]);  // bitwise, not approximately
   }
+}
+
+TEST(SanitizedStreaming, SanitizeOffStreamMatchesBatchOnNonFiniteInput) {
+  // With the ingress layer off, a budgeted coordinate-wise rule must
+  // compute what its batch rule computes on the same non-finite rows, not
+  // throw: finiteness is the ingress layer's job alone, so switching it
+  // off reproduces the undefended server. The budget admits the whole
+  // round in one tree wave, where the tree rule is the batch rule.
+  const std::vector<Update> updates{
+      {1.0f, kNaN, 3.0f}, {2.0f, 2.0f, 2.0f}, {0.0f, 5.0f, 1.0f}};
+  const std::vector<std::int64_t> weights{1, 1, 1};
+  const auto run = [&](Aggregator& batch, Aggregator& streaming) {
+    batch.set_sanitize({.enabled = false});
+    streaming.set_sanitize({.enabled = false});
+    const Update expected = batch.aggregate(updates, weights).model;
+    streaming.begin_stream(3, weights);
+    for (const auto& u : updates) streaming.stream_update(u);
+    const Update streamed = streaming.finish_stream().model;
+    ASSERT_EQ(streamed.size(), expected.size());
+    // Bit patterns, because NaN != NaN.
+    EXPECT_EQ(0, std::memcmp(streamed.data(), expected.data(),
+                             expected.size() * sizeof(float)));
+  };
+  Median median_batch(1 << 20);
+  Median median_stream(1 << 20);
+  run(median_batch, median_stream);
+  TrimmedMean trmean_batch(1, 1 << 20);
+  TrimmedMean trmean_stream(1, 1 << 20);
+  run(trmean_batch, trmean_stream);
 }
 
 // ── NaN injection end-to-end: collapse without the layer, recovery with ──

@@ -361,6 +361,12 @@ class SummaryExtractor:
                     facts["reserves"].append({"recv": key, "off": node.location.offset})
                 else:
                     facts["allocs"].append(self._alloc(node, name + "()", recv=key))
+                if (
+                    name in ("push_back", "emplace_back")
+                    and recv_expr.kind == cx.CursorKind.MEMBER_REF_EXPR
+                    and "std::span<" in _canonical(recv_expr.type)
+                ):
+                    self._on_view_append(node, facts)
         elif name == "operator=":
             self._on_assign_call(node, facts)
         elif name in ("begin", "cbegin"):
@@ -1124,6 +1130,22 @@ class SummaryExtractor:
                     facts["view_stores"].append(
                         {"line": node.location.line, "what": src.spelling}
                     )
+
+    def _on_view_append(self, node, facts):
+        """push_back/emplace_back of a span parameter into a member
+        container of spans: the same retention footgun as assigning a span
+        member (rule A8), one row at a time."""
+        cx = self.cx
+        for arg in node.get_arguments():
+            src = self._view_source(arg)
+            if (
+                src is not None
+                and src.kind == cx.CursorKind.PARM_DECL
+                and "std::span<" in _canonical(src.type)
+            ):
+                facts["view_stores"].append(
+                    {"line": node.location.line, "what": src.spelling}
+                )
 
     def _on_range_for(self, node, facts):
         children = list(node.get_children())

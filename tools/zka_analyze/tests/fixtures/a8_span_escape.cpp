@@ -24,6 +24,22 @@ class BadRetainer : public zka::defense::Aggregator {
   zka::defense::UpdateView view_;
 };
 
+class BadHolder : public zka::defense::Aggregator {
+ public:
+  zka::defense::AggregationResult aggregate(
+      std::span<const zka::defense::UpdateView> updates,
+      std::span<const std::int64_t> weights) override {
+    zka::defense::validate_updates(updates, weights);
+    return {};
+  }
+  void stream_update(zka::defense::UpdateView update) override {
+    held_.push_back(update);  // expect: A8
+  }
+
+ private:
+  std::vector<zka::defense::UpdateView> held_;
+};
+
 const float* good_pointer_into_static(std::size_t n) {
   static std::vector<float> table(16, 0.0f);
   (void)n;

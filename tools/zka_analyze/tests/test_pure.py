@@ -426,6 +426,17 @@ def test_a9_guarded_stream_is_clean():
     assert findings_for(index_of(guarded), only=["A9"]) == []
 
 
+def test_a9_forwarding_hook_is_not_a_protocol_client():
+    # A decorator's do_stream_update forwards to the inner rule's
+    # stream_update; it runs inside the server's open stream.
+    hook = mk_summary(
+        "Forwarding::do_stream_update",
+        entry="do_stream_update",
+        stream_calls=[{"kind": "stream_update", "line": 3, "off": 30}],
+    )
+    assert findings_for(index_of(hook), only=["A9"]) == []
+
+
 def test_a9_finish_stream_unordered_fold():
     finish = mk_summary(
         "Mean::finish_stream", entry="finish_stream", calls=[mk_call("fold")]

@@ -280,7 +280,9 @@ def _check_a8(index, findings):
                     message=(
                         f"stores a view of caller-owned '{vs['what']}' into "
                         f"member state; the Aggregator API requires views to "
-                        f"be dead once the call returns — copy instead"
+                        f"be dead once the call returns (only the base "
+                        f"buffering default holds them, until finish_stream) "
+                        f"— copy instead"
                     ),
                     function=summary["name"],
                 )
@@ -338,8 +340,10 @@ def _check_a9(index, findings):
         if usr in called:
             continue
         s = index.by_usr[usr]
-        if s["entry"] in ("stream_update", "finish_stream"):
-            continue  # the hook implementation, not a protocol client
+        if s["entry"] in ("stream_update", "finish_stream", "do_stream_update"):
+            # The hook implementation, not a protocol client: a forwarding
+            # decorator's hook runs inside its caller's open stream.
+            continue
         findings.append(
             Finding(
                 path=s["path"],
