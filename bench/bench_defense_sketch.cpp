@@ -132,8 +132,8 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     // Bulyan rides the iterative variant, whose successive-exclusion
-    // pick loop is O(m·n²·log n) with or without the sketch — too slow
-    // for the larger sweep size, so it reports at n = 512 only.
+    // pick loop is O(m·n²) with or without the sketch — seconds per call
+    // at the larger sweep size, so it reports at n = 512 only.
     if (n == 512) {
       defense::Bulyan exact_bulyan(f), sketched_bulyan(f, sketch);
       const std::vector<std::int64_t> weights(n, 1);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -19,9 +20,10 @@ namespace {
 constexpr std::size_t kGramMinRows = 8;
 constexpr std::size_t kGramMinDim = 64;
 
-// Row-parallel assembly: task i owns the strictly-upper entries of row i
-// plus their mirrors in column i, so writes are disjoint and every entry
-// is a pure function of (i, j) — deterministic for any thread count.
+// Row-parallel pass over n rows of `dim` work each. Task i writes only what
+// it owns (row i's strictly-upper entries plus their mirrors in column i,
+// or row i's sorted neighbor list) as a pure function of the input, so
+// writes are disjoint and deterministic for any thread count.
 void for_each_row(std::size_t n, std::size_t dim,
                   const std::function<void(std::size_t)>& body) {
   if (tensor::kernel_parallelism_enabled() && n > 1 &&
@@ -150,6 +152,76 @@ double krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
   double score = 0.0;
   for (std::size_t j = 0; j < k; ++j) score += dists[j];
   return score;
+}
+
+void successive_krum_picks(const PairwiseMatrix& sq_dist,
+                           std::size_t neighbors, std::size_t picks,
+                           std::vector<bool>& excluded,
+                           std::vector<std::size_t>& order) {
+  const std::size_t n = sq_dist.size();
+  ZKA_CHECK(excluded.size() == n,
+            "successive_krum_picks: exclusion mask of %zu for %zu updates",
+            excluded.size(), n);
+  ZKA_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+            "successive_krum_picks: %zu updates overflow the index type", n);
+  if (n == 0) return;
+  // Row i's surviving neighbors, nearest first: lists[i·w, i·w + len[i])
+  // by ascending (distance, index). Equal distances are equal doubles, so
+  // their order cannot change a sum's bits; the index key only makes the
+  // sort total. Each list is sorted once, by its own task.
+  struct Neighbor {
+    double dist;
+    std::uint32_t index;
+  };
+  const std::size_t w = n - 1;
+  std::vector<Neighbor> lists(n * w);
+  std::vector<std::size_t> len(n, 0);
+  for_each_row(n, n, [&](std::size_t i) {
+    if (excluded[i]) return;
+    const double* row = sq_dist.row(i);
+    Neighbor* list = lists.data() + i * w;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || excluded[j]) continue;
+      list[len[i]++] = {row[j], static_cast<std::uint32_t>(j)};
+    }
+    std::sort(list, list + len[i], [](const Neighbor& a, const Neighbor& b) {
+      return a.dist < b.dist || (a.dist == b.dist && a.index < b.index);
+    });
+  });
+
+  std::size_t alive =
+      static_cast<std::size_t>(std::count(excluded.begin(), excluded.end(),
+                                          false));
+  std::size_t last = n;  // previous pick, still in every survivor's list
+  for (std::size_t round = 0; round < picks && alive > 0; ++round) {
+    // krum_score's neighbor count: every other survivor once too few remain.
+    const std::size_t k = std::min(neighbors, alive - 1);
+    double best_score = std::numeric_limits<double>::infinity();
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (excluded[i]) continue;
+      // One pass drops the previous pick from the list and sums the first
+      // k survivors in ascending order — krum_score's exact summation.
+      Neighbor* list = lists.data() + i * w;
+      std::size_t kept = 0;
+      double score = 0.0;
+      for (std::size_t t = 0; t < len[i]; ++t) {
+        if (list[t].index == last) continue;
+        if (kept < k) score += list[t].dist;
+        list[kept++] = list[t];
+      }
+      len[i] = kept;
+      if (score < best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == n) break;
+    excluded[best] = true;
+    --alive;
+    last = best;
+    order.push_back(best);
+  }
 }
 
 }  // namespace zka::defense

@@ -67,4 +67,19 @@ double krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
                   std::size_t num_neighbors,
                   const std::vector<bool>& excluded);
 
+/// Successive-exclusion Krum, the iterative variant Bulyan builds on: up
+/// to `picks` times, appends to `order` the non-excluded index with the
+/// lowest krum_score(sq_dist, i, neighbors, excluded) and marks it
+/// excluded (strict <, so the lowest index wins ties; stops early when no
+/// survivor has a score below +inf). Each row's survivors are sorted once
+/// by (distance, index); a pick then drops itself from every list and
+/// re-sums each survivor's first terms in that order — the same ascending
+/// values krum_score sums, so the picks are bitwise identical, at
+/// O(n²·log n + picks·n²) with no per-score allocation instead of
+/// O(picks·n²·log n).
+void successive_krum_picks(const PairwiseMatrix& sq_dist,
+                           std::size_t neighbors, std::size_t picks,
+                           std::vector<bool>& excluded,
+                           std::vector<std::size_t>& order);
+
 }  // namespace zka::defense

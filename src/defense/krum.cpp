@@ -1,7 +1,6 @@
 #include "defense/krum.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "defense/distance.h"
 #include "defense/fedavg.h"
@@ -59,21 +58,7 @@ std::vector<std::size_t> MultiKrum::select(
     return selected;
   }
 
-  for (std::size_t round = 0; round < m; ++round) {
-    double best_score = std::numeric_limits<double>::infinity();
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (excluded[i]) continue;
-      const double score = krum_score(sq_dist, i, neighbors, excluded);
-      if (score < best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    if (best == n) break;
-    excluded[best] = true;
-    selected.push_back(best);
-  }
+  successive_krum_picks(sq_dist, neighbors, m, excluded, selected);
   std::sort(selected.begin(), selected.end());
   return selected;
 }

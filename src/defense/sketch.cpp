@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <utility>
 
 #include "defense/distance.h"
@@ -159,10 +158,9 @@ std::vector<std::size_t> sketched_order(std::span<const float> rows,
     return order;
   }
 
-  // Iterative (the variant Bulyan builds on): successive-exclusion picks
-  // over a sketch-space pairwise matrix, exactly mirroring
-  // MultiKrum::select's loop (argmin with strict <, so the lowest index
-  // wins ties), then the leftovers by their end-state score.
+  // Iterative (the variant Bulyan builds on): the same successive-exclusion
+  // picks as MultiKrum::select, over a sketch-space pairwise matrix, then
+  // the leftovers by their end-state score.
   std::vector<UpdateView> views;
   views.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -170,22 +168,7 @@ std::vector<std::size_t> sketched_order(std::span<const float> rows,
   }
   const PairwiseMatrix sq_dist = pairwise_sq_distances(views);
   std::vector<bool> excluded(n, false);
-  const std::size_t picks = std::min(m, n);
-  for (std::size_t round = 0; round < picks; ++round) {
-    double best_score = std::numeric_limits<double>::infinity();
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (excluded[i]) continue;
-      const double score = krum_score(sq_dist, i, neighbors, excluded);
-      if (score < best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    if (best == n) break;
-    excluded[best] = true;
-    order.push_back(best);
-  }
+  successive_krum_picks(sq_dist, neighbors, std::min(m, n), excluded, order);
   std::vector<std::pair<double, std::size_t>> rest;
   for (std::size_t i = 0; i < n; ++i) {
     if (excluded[i]) continue;

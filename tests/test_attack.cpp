@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <utility>
 
 #include "attack/fang.h"
 #include "attack/label_flip.h"
@@ -207,6 +210,140 @@ TEST(MinMax, IdenticalBenignUpdatesGiveZeroGamma) {
   // Budget is zero: the crafted update must collapse onto the mean.
   EXPECT_NEAR(util::l2_distance(crafted, fx.benign[0]), 0.0, 1e-4);
 }
+
+// ---------- Min-Max / Min-Sum worker-count invariance ----------
+//
+// The attacks compute their distances on the worker pool. These serial
+// copies of the original loops pin the result bit for bit; CMake runs this
+// binary at ZKA_THREADS = 1, 4 and 8.
+
+Update serial_mean(const std::vector<Update>& benign) {
+  Update mean(benign.front().size(), 0.0f);
+  for (const Update& u : benign) {
+    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += u[i];
+  }
+  for (auto& m : mean) m /= static_cast<float>(benign.size());
+  return mean;
+}
+
+Update serial_crafted(const Update& mean, const Update& perturb,
+                      double gamma) {
+  Update u(mean.size());
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    u[i] = mean[i] + static_cast<float>(gamma) * perturb[i];
+  }
+  return u;
+}
+
+double serial_gamma(const Update& mean, const Update& perturb,
+                    const std::function<bool(const Update&)>& fits) {
+  double lo = 0.0;
+  double hi = 1.0;
+  if (fits(serial_crafted(mean, perturb, hi))) {
+    while (fits(serial_crafted(mean, perturb, hi)) && hi < 1e6) {
+      lo = hi;
+      hi *= 2.0;
+    }
+  }
+  for (int iter = 0; iter < 30 && hi - lo > 0.01 * std::max(1.0, lo);
+       ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (fits(serial_crafted(mean, perturb, mid))) lo = mid;
+    else hi = mid;
+  }
+  return lo;
+}
+
+std::pair<Update, double> serial_min_max(const std::vector<Update>& benign,
+                                         Perturbation kind) {
+  const Update mean = serial_mean(benign);
+  const Update perturb = perturbation_direction(kind, benign);
+  double budget = 0.0;
+  for (std::size_t i = 0; i < benign.size(); ++i) {
+    for (std::size_t j = i + 1; j < benign.size(); ++j) {
+      budget = std::max(budget, util::l2_distance(benign[i], benign[j]));
+    }
+  }
+  auto fits = [&](const Update& u) {
+    double worst = 0.0;
+    for (const Update& b : benign) {
+      worst = std::max(worst, util::l2_distance(u, b));
+    }
+    return worst <= budget;
+  };
+  const double gamma = serial_gamma(mean, perturb, fits);
+  return {serial_crafted(mean, perturb, gamma), gamma};
+}
+
+std::pair<Update, double> serial_min_sum(const std::vector<Update>& benign,
+                                         Perturbation kind) {
+  const Update mean = serial_mean(benign);
+  const Update perturb = perturbation_direction(kind, benign);
+  double budget = 0.0;
+  for (std::size_t i = 0; i < benign.size(); ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < benign.size(); ++j) {
+      const double d = util::l2_distance(benign[i], benign[j]);
+      sum += d * d;
+    }
+    budget = std::max(budget, sum);
+  }
+  auto fits = [&](const Update& u) {
+    double sum = 0.0;
+    for (const Update& b : benign) {
+      const double d = util::l2_distance(u, b);
+      sum += d * d;
+    }
+    return sum <= budget;
+  };
+  const double gamma = serial_gamma(mean, perturb, fits);
+  return {serial_crafted(mean, perturb, gamma), gamma};
+}
+
+void expect_bitwise(const Update& crafted, double gamma,
+                    const std::pair<Update, double>& reference) {
+  EXPECT_GT(reference.second, 0.0);  // the search moved off the mean
+  ASSERT_EQ(crafted.size(), reference.first.size());
+  EXPECT_EQ(std::memcmp(crafted.data(), reference.first.data(),
+                        crafted.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(&gamma, &reference.second, sizeof(double)), 0)
+      << gamma << " vs " << reference.second;
+}
+
+class WorkerCountInvarianceTest
+    : public ::testing::TestWithParam<Perturbation> {};
+
+TEST_P(WorkerCountInvarianceTest, MinMaxMatchesSerialLoopsBitwise) {
+  // 23 benign rows, one straggler: the budget rows have uneven lengths.
+  Fixture fx(301, 23, 21);
+  for (auto& x : fx.benign[5]) x *= 3.0f;
+  MinMaxAttack attack(GetParam());
+  const Update crafted = attack.craft(fx.context());
+  expect_bitwise(crafted, attack.last_gamma(),
+                 serial_min_max(fx.benign, GetParam()));
+}
+
+TEST_P(WorkerCountInvarianceTest, MinSumMatchesSerialLoopsBitwise) {
+  Fixture fx(301, 23, 22);
+  for (auto& x : fx.benign[17]) x *= 3.0f;
+  MinSumAttack attack(GetParam());
+  const Update crafted = attack.craft(fx.context());
+  expect_bitwise(crafted, attack.last_gamma(),
+                 serial_min_sum(fx.benign, GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, WorkerCountInvarianceTest,
+                         ::testing::Values(Perturbation::kInverseUnit,
+                                           Perturbation::kInverseStd,
+                                           Perturbation::kInverseSign),
+                         [](const auto& info) {
+                           std::string name = perturbation_name(info.param);
+                           for (auto& ch : name) {
+                             if (ch == '-') ch = '_';
+                           }
+                           return name;
+                         });
 
 // ---------- RandomWeights ----------
 
