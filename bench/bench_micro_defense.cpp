@@ -25,7 +25,7 @@ std::vector<defense::Update> make_updates(std::size_t n, std::size_t dim,
 void run_defense(benchmark::State& state, const char* name) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t dim = static_cast<std::size_t>(state.range(1));
-  auto agg = defense::make_aggregator(name, /*num_byzantine=*/n / 5);
+  auto agg = defense::make_aggregator(name, {.num_byzantine = n / 5});
   const auto updates = make_updates(n, dim, 42);
   const std::vector<std::int64_t> weights(n, 1);
   for (auto _ : state) {

@@ -55,9 +55,8 @@ int main(int argc, char** argv) {
         config.clients_per_round = std::min(cpr, population);
         config.samples_per_client = 32;
         config.malicious_fraction = fraction;
-        // Sub-1% of a small population floors to zero attackers; report
-        // that point as a clean baseline instead of skipping or crashing.
-        config.malicious_rounding = fl::MaliciousRounding::kFloor;
+        // Sub-1% of a small population floors to zero attackers; that
+        // point runs as a clean baseline instead of skipping or crashing.
         // Exact mKrum needs the round's full update matrix (pairwise
         // distances), so the budget constrains the streaming-capable runs
         // only: FedAvg, and mkrum through the sketched selection path.

@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
                  util::Table::fmt(
                      fl::attack_success_rate(natk, acc_custom), 1)});
   for (const char* name : {"median", "trmean", "mkrum"}) {
-    auto builtin = defense::make_aggregator(name, 2);
+    auto builtin = defense::make_aggregator(name, {.num_byzantine = 2});
     const double acc =
         run_with_aggregator(*builtin, kind, rounds, seed, &natk);
     table.add_row({std::string(name), util::Table::fmt(acc * 100, 1),

@@ -22,7 +22,7 @@ void render_ascii(const tensor::Tensor& images, std::int64_t index,
   static const char* kRamp = " .:-=+*#%@";
   // Average channels down to a luminance plane, downsample 2x for width.
   const std::int64_t plane = spec.height * spec.width;
-  // zka-lint: allow(A3) -- read-only ASCII rendering over the packed layout
+  // Read-only ASCII rendering over the packed layout
   const float* base = images.raw() + index * spec.channels * plane;
   for (std::int64_t y = 0; y < spec.height; y += 2) {
     for (std::int64_t x = 0; x < spec.width; ++x) {

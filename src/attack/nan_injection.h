@@ -1,5 +1,5 @@
-// NaN injection — the degenerate data-free poisoning attack the A13 taint
-// rule exists for. The crafted update is the broadcast model with a
+// NaN injection — the degenerate data-free poisoning attack the ingress
+// trust boundary exists for. The crafted update is the broadcast model with a
 // handful of coordinates replaced by NaN (or +Inf): any mean-based rule
 // that folds it without a finite check propagates the poison to every
 // coordinate it touches, so a single sybil in a single round destroys the

@@ -14,8 +14,7 @@ AggregationResult Aggregator::aggregate(
                       ingress_.admit_weights(weights));
 }
 
-// zka-lint: allow(A4) -- pure delegation; the span overload sanitizes and
-// the do_aggregate hook validates
+// Pure delegation: the span overload sanitizes and do_aggregate validates.
 AggregationResult Aggregator::aggregate(
     const std::vector<Update>& updates,
     const std::vector<std::int64_t>& weights) {
@@ -50,7 +49,7 @@ void Aggregator::do_begin_stream(std::size_t dim,
 }
 
 void Aggregator::do_stream_update(UpdateView update) {
-  // zka-lint: allow(A8) -- views live until finish_stream (aggregator.h)
+  // Views live until finish_stream (aggregator.h)
   held_.push_back(update);
 }
 

@@ -190,8 +190,8 @@ std::vector<UpdateView> as_views(const std::vector<Update>& updates);
 void validate_updates(std::span<const UpdateView> updates,
                       std::span<const std::int64_t> weights);
 
-/// Knobs shared by the named constructor below; defaults reproduce the
-/// legacy make_aggregator(name, f) behaviour exactly.
+/// Knobs of the named constructor below; the defaults select the exact,
+/// unbudgeted rules with f = 2.
 struct AggregatorOptions {
   /// The defense's assumed attacker bound f.
   std::size_t num_byzantine = 2;
@@ -210,12 +210,8 @@ struct AggregatorOptions {
 };
 
 /// Named construction for benches/CLIs: fedavg, median, trmean, mkrum,
-/// bulyan, foolsgold, normclip. `num_byzantine` is the defense's assumed
-/// attacker bound f.
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
-                                            std::size_t num_byzantine);
-
-/// Full-options overload; the legacy signature forwards here.
+/// bulyan, foolsgold, normclip. `options.num_byzantine` is the defense's
+/// assumed attacker bound f.
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
                                             const AggregatorOptions& options);
 

@@ -14,13 +14,6 @@
 namespace zka::defense {
 
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
-                                            std::size_t num_byzantine) {
-  AggregatorOptions options;
-  options.num_byzantine = num_byzantine;
-  return make_aggregator(name, options);
-}
-
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
                                             const AggregatorOptions& options) {
   const std::size_t f = options.num_byzantine;
   const SketchOptions sketch{options.sketch_dim, options.sketch_seed,

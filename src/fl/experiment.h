@@ -27,7 +27,7 @@ enum class AttackKind {
   kLabelFlip,      // extension baseline
   kMinSum,         // extension: Shejwalkar's other defense-agnostic variant
   kFreeRider,      // extension: stealth reference point (no poisoning goal)
-  kNaNInjection,   // extension: degenerate availability attack (A13 threat)
+  kNaNInjection,   // extension: degenerate availability attack
   kZkaRAdaptive,   // extension: online lambda adaptation (future work)
   kZkaGAdaptive,
   kFangKrum,       // extension: Fang's Krum-directed, defense-aware variant

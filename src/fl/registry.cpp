@@ -21,8 +21,7 @@ ClientRegistry::ClientRegistry(const data::Dataset& dataset,
 ClientRegistry::ClientRegistry(const data::Dataset& dataset,
                                data::HashedShardSpec spec,
                                models::ModelFactory factory,
-                               ClientOptions options,
-                               bool materialize_eagerly)
+                               ClientOptions options)
     : dataset_(&dataset),
       spec_(spec),
       factory_(std::move(factory)),
@@ -32,12 +31,6 @@ ClientRegistry::ClientRegistry(const data::Dataset& dataset,
             "ClientRegistry: spec covers %lld samples, dataset has %lld",
             static_cast<long long>(spec.dataset_size()),
             static_cast<long long>(dataset.size()));
-  if (materialize_eagerly) {
-    parts_.reserve(static_cast<std::size_t>(population_));
-    for (std::int64_t c = 0; c < population_; ++c) {
-      parts_.push_back(spec_->shard(c));
-    }
-  }
 }
 
 void ClientRegistry::check_id(std::int64_t id) const {

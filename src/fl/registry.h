@@ -12,10 +12,8 @@
 // available without materialization, so FedAvg weights and the benign
 // median weight cost O(k) per round, not O(population).
 //
-// Lazy and eager registries over the same spec are interchangeable:
-// Client training is a pure function of (shard, global model, seed), so the
-// simulation's thread-count-invariance and lazy-vs-eager bitwise
-// determinism tests hold by construction.
+// Client training is a pure function of (shard, global model, seed), so
+// the simulation's thread-count-invariance tests hold by construction.
 #pragma once
 
 #include <cstdint>
@@ -37,19 +35,15 @@ class ClientRegistry {
                  std::vector<std::vector<std::int64_t>> parts,
                  models::ModelFactory factory, ClientOptions options);
 
-  /// Registry over a lazy shard spec. With `materialize_eagerly` the
-  /// entire partition is computed up front (the legacy memory behaviour —
-  /// used by the bitwise lazy-vs-eager parity tests and as an
-  /// apples-to-apples memory comparison point); otherwise shards exist
-  /// only while a sampled client is live.
+  /// Registry over a lazy shard spec: shards exist only while a sampled
+  /// client is live.
   ClientRegistry(const data::Dataset& dataset, data::HashedShardSpec spec,
-                 models::ModelFactory factory, ClientOptions options,
-                 bool materialize_eagerly = false);
+                 models::ModelFactory factory, ClientOptions options);
 
   std::int64_t population() const noexcept { return population_; }
 
   /// True when shards are computed on demand (nothing stored per client).
-  bool lazy() const noexcept { return spec_.has_value() && parts_.empty(); }
+  bool lazy() const noexcept { return spec_.has_value(); }
 
   /// Sample count of client `id` without materializing it: O(1) for lazy
   /// registries (every shard has spec.shard_size() samples).

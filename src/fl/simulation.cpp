@@ -74,8 +74,7 @@ Simulation::Simulation(SimulationConfig config)
   if (production) {
     const data::HashedShardSpec spec(train_.size(), population,
                                      config_.samples_per_client, part_rng());
-    registry_.emplace(train_, spec, factory_, config_.client,
-                      config_.eager_registry);
+    registry_.emplace(train_, spec, factory_, config_.client);
   } else {
     auto parts =
         config_.beta > 0.0
@@ -89,10 +88,6 @@ Simulation::Simulation(SimulationConfig config)
 
   num_malicious_ = static_cast<std::int64_t>(
       config_.malicious_fraction * static_cast<double>(population));
-  if (config_.malicious_rounding == MaliciousRounding::kAtLeastOne &&
-      config_.malicious_fraction > 0.0 && num_malicious_ == 0) {
-    num_malicious_ = 1;
-  }
   defense::AggregatorOptions agg_options;
   agg_options.num_byzantine = config_.defense_f;
   agg_options.sketch_dim = config_.sketch_dim;
@@ -102,17 +97,6 @@ Simulation::Simulation(SimulationConfig config)
                     : defense::make_aggregator(config_.defense, agg_options);
   ZKA_CHECK(aggregator_ != nullptr,
             "Simulation: custom_defense returned null");
-}
-
-void Simulation::train_client_(std::size_t c, std::int64_t round,
-                               std::span<const float> global,
-                               defense::Update& out) const {
-  ZKA_PROF_SCOPE("client_train/one");
-  const Client client = registry_->client(static_cast<std::int64_t>(c));
-  const std::uint64_t seed = config_.seed * 0x9e3779b97f4a7c15ULL +
-                             static_cast<std::uint64_t>(round) * 1315423911ULL +
-                             static_cast<std::uint64_t>(client.id());
-  out = client.train(global, seed);
 }
 
 data::Dataset Simulation::malicious_data() const {
@@ -152,8 +136,8 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   // clear()/resize(): every vector here is bounded by clients_per_round,
   // which is fixed for the run, so one reserve covers all rounds and the
   // loop body itself allocates nothing. The per-client Update buffers are
-  // owned by train_client_ and the attack — the analyzer's hot-path
-  // boundaries, tracked against ROADMAP item 3's round arena.
+  // reused training slots (wave_updates) and the attack's crafted buffer;
+  // each client's model and scratch are still built per call.
   const std::size_t round_k =
       static_cast<std::size_t>(config_.clients_per_round);
   std::vector<std::size_t> benign_ids;
@@ -240,8 +224,17 @@ SimulationResult Simulation::run(attack::Attack* attack) {
       wave_updates.resize(wave_benign.size());
       {
         ZKA_PROF_SCOPE("client_train");
+        // Each client's seed mixes run seed, round and client id, so its
+        // update is independent of scheduling order.
         const auto train_one = [&](std::size_t k) {
-          train_client_(wave_benign[k], round, global, wave_updates[k]);
+          ZKA_PROF_SCOPE("client_train/one");
+          const Client client =
+              registry_->client(static_cast<std::int64_t>(wave_benign[k]));
+          const std::uint64_t seed =
+              config_.seed * 0x9e3779b97f4a7c15ULL +
+              static_cast<std::uint64_t>(round) * 1315423911ULL +
+              static_cast<std::uint64_t>(client.id());
+          wave_updates[k] = client.train(global, seed);
         };
         if (config_.parallel_clients) {
           util::global_thread_pool().parallel_for(wave_benign.size(),

@@ -25,7 +25,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,23 +37,14 @@
 
 namespace zka::fl {
 
-/// How `floor(malicious_fraction * population)` rounds when the product is
-/// fractional. kFloor (default, the historical behaviour) can round a
-/// small positive fraction down to zero attackers — such a run now
-/// executes as a clean baseline instead of throwing, so sub-1% fraction
-/// sweeps report the zero-attacker point instead of crashing. kAtLeastOne
-/// guarantees the adversary controls at least one client whenever
-/// malicious_fraction > 0.
-enum class MaliciousRounding { kFloor, kAtLeastOne };
-
 struct SimulationConfig {
   models::Task task = models::Task::kFashion;
   std::int64_t num_clients = 100;
   std::int64_t clients_per_round = 10;
   /// Fraction of the population the adversary controls (paper: 0.2).
+  /// The attacker count is floor(fraction * population); a small positive
+  /// fraction that floors to zero runs as a clean baseline.
   double malicious_fraction = 0.2;
-  /// Attacker-count rounding policy (see MaliciousRounding).
-  MaliciousRounding malicious_rounding = MaliciousRounding::kFloor;
   std::int64_t rounds = 30;
   /// Dirichlet concentration beta; values <= 0 select an IID partition.
   /// Legacy mode only — production mode shards through HashedShardSpec.
@@ -100,10 +90,6 @@ struct SimulationConfig {
   /// the bits match the first pass. Any other round is one wave of
   /// clients_per_round updates; a budget below that throws at run() time.
   std::size_t memory_budget_bytes = 0;
-  /// Materialize every lazy shard up front (testing / memory-comparison
-  /// knob; production mode only). Must be bitwise-equivalent to the lazy
-  /// path — the determinism tests enforce it.
-  bool eager_registry = false;
 };
 
 struct RoundRecord {
@@ -171,15 +157,6 @@ class Simulation {
   data::Dataset malicious_data() const;
 
  private:
-  /// Trains one sampled benign client into `out` (a reused slot). The
-  /// seed is a deterministic mix of run seed, round, and client id, so the
-  /// result is independent of scheduling order. Named (rather than a
-  /// lambda in run()) because it is the analyzer's hot-path boundary: its
-  /// per-client model allocations are owned here, not by run()'s loop.
-  void train_client_(std::size_t c, std::int64_t round,
-                     std::span<const float> global,
-                     defense::Update& out) const;
-
   SimulationConfig config_;
   models::ModelFactory factory_;
   data::Dataset train_;

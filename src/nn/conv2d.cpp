@@ -59,7 +59,7 @@ Tensor Conv2d::forward(const Tensor& input) {
     const float bias = bias_.value[c];
     const float* src = buf_.data() + c * cols;
     for (std::int64_t s = 0; s < n; ++s) {
-      // zka-lint: allow(A3) -- innermost permute+bias walk of the im2col
+      // Innermost permute+bias walk of the im2col
       float* dst = out.raw() + (s * out_channels_ + c) * spatial;
       for (std::int64_t i = 0; i < spatial; ++i) dst[i] = src[s * spatial + i] + bias;
     }
@@ -86,7 +86,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     float* dst = buf_.data() + c * cols;
     float acc = 0.0f;
     for (std::int64_t s = 0; s < n; ++s) {
-      // zka-lint: allow(A3) -- dY gather feeding the batched GEMMs
+      // dY gather feeding the batched GEMMs
       const float* src = grad_output.raw() + (s * out_channels_ + c) * spatial;
       std::memcpy(dst + s * spatial, src,
                   static_cast<std::size_t>(spatial) * sizeof(float));

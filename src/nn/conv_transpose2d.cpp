@@ -52,7 +52,7 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
   // batch goes through one GEMM; backward reuses it for the weight grad.
   xperm_.resize(static_cast<std::size_t>(in_channels_ * cols));
   for (std::int64_t s = 0; s < n; ++s) {
-    // zka-lint: allow(A3) -- channel-major gather into the GEMM arena
+    // Channel-major gather into the GEMM arena
     const float* x = input.raw() + s * in_channels_ * spatial_in;
     for (std::int64_t c = 0; c < in_channels_; ++c) {
       std::memcpy(xperm_.data() + c * cols + s * spatial_in,
@@ -69,7 +69,7 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
   Tensor out({n, out_channels_, oh, ow});
   tensor::col2im_batched(geometry_, col_.data(), n, out.raw());
   for (std::int64_t s = 0; s < n; ++s) {
-    // zka-lint: allow(A3) -- bias add over the scattered output planes
+    // Bias add over the scattered output planes
     float* dst = out.raw() + s * out_channels_ * spatial_out;
     for (std::int64_t c = 0; c < out_channels_; ++c) {
       const float b = bias_.value[c];
@@ -106,7 +106,7 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
 
   // db += spatial sums of the output gradient.
   for (std::int64_t s = 0; s < n; ++s) {
-    // zka-lint: allow(A3) -- bias-gradient reduction over dY planes
+    // Bias-gradient reduction over dY planes
     const float* gout = grad_output.raw() + s * out_channels_ * spatial_out;
     for (std::int64_t c = 0; c < out_channels_; ++c) {
       const float* plane = gout + c * spatial_out;
@@ -122,7 +122,7 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
                col_.data(), 0.0f, buf_.data());
   Tensor grad_input(cached_input_.shape());
   for (std::int64_t s = 0; s < n; ++s) {
-    // zka-lint: allow(A3) -- un-permute of the GEMM result into NCHW
+    // Un-permute of the GEMM result into NCHW
     float* dst = grad_input.raw() + s * in_channels_ * spatial_in;
     for (std::int64_t c = 0; c < in_channels_; ++c) {
       std::memcpy(dst + c * spatial_in,

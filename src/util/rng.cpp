@@ -149,6 +149,7 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   // callers that need one shuffle the result).
   std::vector<std::size_t> sample;
   sample.reserve(k);
+  // zka-lint: allow(unordered-container) -- membership only, never iterated
   std::unordered_set<std::size_t> chosen;
   chosen.reserve(k * 2);
   for (std::size_t j = n - k; j < n; ++j) {

@@ -1,112 +1,178 @@
-// Properties that hold for every attack kind: correct update size, finite
-// values, determinism in the construction seed.
+// Properties that hold for every attack: correct update size, finite values
+// (except NaN injection, whose point is non-finite ones), bitwise
+// determinism in the construction seed, and rejection of an inconsistent
+// round context.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <ostream>
+#include <stdexcept>
 
+#include "attack/backdoor.h"
 #include "fl/experiment.h"
 
 namespace zka::fl {
 namespace {
 
-class AttackProperty : public ::testing::TestWithParam<AttackKind> {
- protected:
-  static SimulationConfig config() {
-    SimulationConfig c;
-    c.num_clients = 15;
-    c.clients_per_round = 5;
-    c.rounds = 2;
-    c.train_size = 150;
-    c.test_size = 60;
-    c.malicious_fraction = 0.2;
-    c.seed = 41;
-    return c;
-  }
+SimulationConfig config() {
+  SimulationConfig c;
+  c.num_clients = 15;
+  c.clients_per_round = 5;
+  c.rounds = 2;
+  c.train_size = 150;
+  c.test_size = 60;
+  c.malicious_fraction = 0.2;
+  c.seed = 41;
+  return c;
+}
 
-  static core::ZkaOptions zka() {
-    core::ZkaOptions z;
-    z.synthetic_size = 4;
-    z.synthesis_epochs = 2;
-    z.latent_dim = 8;
-    return z;
-  }
+core::ZkaOptions zka() {
+  core::ZkaOptions z;
+  z.synthetic_size = 4;
+  z.synthesis_epochs = 2;
+  z.latent_dim = 8;
+  return z;
+}
 
-  struct Crafted {
-    std::vector<float> update;
-    std::size_t model_size = 0;
-  };
-
-  static Crafted craft_once(std::uint64_t seed) {
-    Simulation sim(config());
-    const auto attack = make_attack(GetParamStatic(), sim, zka(), seed);
-    const auto factory = models::task_model_factory(config().task);
-    const std::vector<float> global = nn::get_flat_params(*factory(9));
-    std::vector<float> prev = global;
-    prev[0] += 0.01f;
-
-    // Synthesize plausible benign updates for omniscient attacks.
-    std::vector<std::vector<float>> benign(4, global);
-    util::Rng rng(99);
-    for (auto& u : benign) {
-      for (auto& w : u) w += static_cast<float>(rng.normal(0.001, 0.01));
-    }
-    attack::AttackContext ctx;
-    ctx.global_model = global;
-    ctx.prev_global_model = prev;
-    ctx.benign_updates = &benign;
-    ctx.num_selected = 5;
-    ctx.num_malicious_selected = 1;
-    Crafted crafted;
-    crafted.update = attack->craft(ctx);
-    crafted.model_size = global.size();
-    return crafted;
-  }
-
-  static AttackKind GetParamStatic() { return current_param_; }
-  void SetUp() override { current_param_ = GetParam(); }
-  static AttackKind current_param_;
+/// An attack under test: every AttackKind that make_attack builds, plus
+/// the backdoor extension, which make_attack does not.
+struct AttackCase {
+  std::string name;
+  std::function<std::unique_ptr<attack::Attack>(const Simulation&,
+                                                std::uint64_t seed)>
+      make;
+  bool finite = true;
 };
 
-AttackKind AttackProperty::current_param_ = AttackKind::kLie;
+void PrintTo(const AttackCase& c, std::ostream* os) { *os << c.name; }
+
+AttackCase of_kind(AttackKind kind, bool finite = true) {
+  return {attack_kind_name(kind),
+          [kind](const Simulation& sim, std::uint64_t seed) {
+            return make_attack(kind, sim, zka(), seed);
+          },
+          finite};
+}
+
+AttackCase backdoor() {
+  return {"Backdoor", [](const Simulation& sim, std::uint64_t seed) {
+            return std::unique_ptr<attack::Attack>(
+                std::make_unique<attack::BackdoorAttack>(
+                    sim.malicious_data(),
+                    models::task_model_factory(sim.config().task),
+                    attack::BackdoorOptions{}, seed));
+          }};
+}
+
+class AttackProperty : public ::testing::TestWithParam<AttackCase> {
+ protected:
+  /// A round's models and, for the omniscient attacks, plausible benign
+  /// updates near the global model.
+  struct Round {
+    std::vector<float> global;
+    std::vector<float> prev;
+    std::vector<std::vector<float>> benign;
+
+    attack::AttackContext context() const {
+      attack::AttackContext ctx;
+      ctx.global_model = global;
+      ctx.prev_global_model = prev;
+      ctx.benign_updates = &benign;
+      ctx.num_selected = 5;
+      ctx.num_malicious_selected = 1;
+      return ctx;
+    }
+  };
+
+  static Round make_round() {
+    Round r;
+    r.global =
+        nn::get_flat_params(*models::task_model_factory(config().task)(9));
+    r.prev = r.global;
+    r.prev[0] += 0.01f;
+    r.benign.assign(4, r.global);
+    util::Rng rng(99);
+    for (auto& u : r.benign) {
+      for (auto& w : u) w += static_cast<float>(rng.normal(0.001, 0.01));
+    }
+    return r;
+  }
+
+  std::vector<float> craft_once(std::uint64_t seed) const {
+    const Simulation sim(config());
+    const auto attack = GetParam().make(sim, seed);
+    return attack->craft(make_round().context());
+  }
+};
 
 TEST_P(AttackProperty, UpdateHasModelSizeAndFiniteValues) {
-  const Crafted crafted = craft_once(7);
-  ASSERT_EQ(crafted.update.size(), crafted.model_size);
-  for (const float v : crafted.update) {
+  const std::vector<float> update = craft_once(7);
+  ASSERT_EQ(update.size(), make_round().global.size());
+  if (!GetParam().finite) return;
+  for (const float v : update) {
     ASSERT_TRUE(std::isfinite(v));
   }
 }
 
 TEST_P(AttackProperty, DeterministicInConstructionSeed) {
-  const Crafted a = craft_once(7);
-  const Crafted b = craft_once(7);
-  EXPECT_EQ(a.update, b.update);
+  const std::vector<float> a = craft_once(7);
+  const std::vector<float> b = craft_once(7);
+  ASSERT_EQ(a.size(), b.size());
+  // Bitwise, so NaN payloads compare too.
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 TEST_P(AttackProperty, NameIsNonEmptyAndStable) {
-  Simulation sim(config());
-  const auto attack = make_attack(GetParam(), sim, zka(), 3);
+  const Simulation sim(config());
+  const auto attack = GetParam().make(sim, 3);
   EXPECT_FALSE(attack->name().empty());
   EXPECT_EQ(attack->name(), attack->name());
 }
 
+TEST_P(AttackProperty, RejectsInconsistentContext) {
+  const Simulation sim(config());
+  const auto attack = GetParam().make(sim, 3);
+  Round round = make_round();
+  round.prev.pop_back();
+  EXPECT_THROW(attack->craft(round.context()), std::invalid_argument);
+}
+
+std::string case_name(const ::testing::TestParamInfo<AttackCase>& info) {
+  std::string name = info.param.name;
+  for (auto& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAttacks, AttackProperty,
-    ::testing::Values(AttackKind::kFang, AttackKind::kLie,
-                      AttackKind::kMinMax, AttackKind::kMinSum,
-                      AttackKind::kZkaR, AttackKind::kZkaG,
-                      AttackKind::kZkaRStatic, AttackKind::kZkaGStatic,
-                      AttackKind::kRealData, AttackKind::kRandomWeights,
-                      AttackKind::kLabelFlip, AttackKind::kFreeRider,
-                      AttackKind::kFangKrum, AttackKind::kZkaRAdaptive,
-                      AttackKind::kZkaGAdaptive),
-    [](const ::testing::TestParamInfo<AttackKind>& info) {
-      std::string name = attack_kind_name(info.param);
-      for (auto& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name;
-    });
+    ::testing::Values(of_kind(AttackKind::kFang), of_kind(AttackKind::kLie),
+                      of_kind(AttackKind::kMinMax),
+                      of_kind(AttackKind::kMinSum), of_kind(AttackKind::kZkaR),
+                      of_kind(AttackKind::kZkaG),
+                      of_kind(AttackKind::kZkaRStatic),
+                      of_kind(AttackKind::kZkaGStatic),
+                      of_kind(AttackKind::kRealData),
+                      of_kind(AttackKind::kRandomWeights),
+                      of_kind(AttackKind::kLabelFlip),
+                      of_kind(AttackKind::kFreeRider),
+                      of_kind(AttackKind::kFangKrum),
+                      of_kind(AttackKind::kZkaRAdaptive),
+                      of_kind(AttackKind::kZkaGAdaptive)),
+    case_name);
+
+// NaN injection emits non-finite values by design; the ingress layer
+// (defense/sanitize.h) is what contains it.
+INSTANTIATE_TEST_SUITE_P(NaNInjection, AttackProperty,
+                         ::testing::Values(of_kind(AttackKind::kNaNInjection,
+                                                   /*finite=*/false)),
+                         case_name);
+
+INSTANTIATE_TEST_SUITE_P(Backdoor, AttackProperty,
+                         ::testing::Values(backdoor()), case_name);
 
 }  // namespace
 }  // namespace zka::fl

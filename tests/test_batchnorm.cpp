@@ -26,13 +26,13 @@ TEST(BatchNorm2d, NormalizesPerChannelInTraining) {
     double mean = 0.0;
     double var = 0.0;
     for (std::int64_t s = 0; s < 4; ++s) {
-      // zka-lint: allow(A3) -- read-only reference check against raw layout
+      // Read-only reference check against raw layout
       const float* plane = y.raw() + (s * 3 + c) * spatial;
       for (std::int64_t i = 0; i < spatial; ++i) mean += plane[i];
     }
     mean /= 100.0;
     for (std::int64_t s = 0; s < 4; ++s) {
-      // zka-lint: allow(A3) -- read-only reference check against raw layout
+      // Read-only reference check against raw layout
       const float* plane = y.raw() + (s * 3 + c) * spatial;
       for (std::int64_t i = 0; i < spatial; ++i) {
         var += (plane[i] - mean) * (plane[i] - mean);

@@ -394,11 +394,12 @@ TEST(GeoMedianRule, WeiszfeldMatchesScalarReference) {
 TEST(Factory, ConstructsEveryKnownAggregator) {
   for (const char* name : {"fedavg", "median", "trmean", "krum", "mkrum",
                            "bulyan", "foolsgold", "normclip"}) {
-    const auto agg = make_aggregator(name, 2);
+    const auto agg = make_aggregator(name, {.num_byzantine = 2});
     ASSERT_NE(agg, nullptr) << name;
     EXPECT_FALSE(agg->name().empty());
   }
-  EXPECT_THROW(make_aggregator("nope", 1), std::invalid_argument);
+  EXPECT_THROW(make_aggregator("nope", {.num_byzantine = 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

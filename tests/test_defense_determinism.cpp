@@ -65,11 +65,11 @@ TEST_P(DeterminismTest, ParallelMatchesSerialBitwise) {
   // Fresh aggregator per mode: stateful rules (CenteredClip's center, DnC's
   // RNG stream) must see identical histories in both legs.
   tensor::set_kernel_parallelism(true);
-  const auto parallel_agg = make_aggregator(GetParam(), 2);
+  const auto parallel_agg = make_aggregator(GetParam(), {.num_byzantine = 2});
   const AggregationResult parallel = parallel_agg->aggregate(updates, weights);
 
   tensor::set_kernel_parallelism(false);
-  const auto serial_agg = make_aggregator(GetParam(), 2);
+  const auto serial_agg = make_aggregator(GetParam(), {.num_byzantine = 2});
   const AggregationResult serial = serial_agg->aggregate(updates, weights);
   tensor::set_kernel_parallelism(true);
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "defense/aggregator.h"
 #include "util/rng.h"
@@ -18,7 +19,7 @@ struct Case {
 class DefenseProperty : public ::testing::TestWithParam<Case> {
  protected:
   std::unique_ptr<Aggregator> make() const {
-    return make_aggregator(GetParam().name, GetParam().f);
+    return make_aggregator(GetParam().name, {.num_byzantine = GetParam().f});
   }
 };
 
@@ -106,7 +107,7 @@ TEST_P(DefenseProperty, NonFiniteUpdatesSanitizedAtIngress) {
 TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
   // With the ingress layer switched off the server is the undefended one
   // from the paper: nothing throws, and for the plain mean the poison
-  // propagates — that hazard is exactly what A13 flags statically.
+  // propagates — the hazard the ingress layer exists to contain.
   auto agg = make();
   agg->set_sanitize({.enabled = false});
   auto updates = random_updates(6, 10, 23);
@@ -116,6 +117,25 @@ TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
   if (std::string(GetParam().name) == "fedavg") {
     EXPECT_TRUE(std::isnan(result.model[7]));
   }
+}
+
+TEST_P(DefenseProperty, RejectsMalformedRound) {
+  // The shape contract (validate_updates) holds before any rule reads a
+  // row: a ragged row, a weight count that disagrees with the update
+  // count, and a negative weight are each rejected.
+  const auto updates = random_updates(6, 10, 29);
+  const std::vector<std::int64_t> w(6, 1);
+  auto ragged = updates;
+  ragged[4].pop_back();
+  EXPECT_THROW(make()->aggregate(ragged, w), std::invalid_argument)
+      << GetParam().name << ": ragged row";
+  EXPECT_THROW(make()->aggregate(updates, std::vector<std::int64_t>(5, 1)),
+               std::invalid_argument)
+      << GetParam().name << ": weight count";
+  auto negative = w;
+  negative[2] = -1;
+  EXPECT_THROW(make()->aggregate(updates, negative), std::invalid_argument)
+      << GetParam().name << ": negative weight";
 }
 
 TEST_P(DefenseProperty, OutputFinite) {

@@ -443,9 +443,11 @@ TEST(Factory, SketchAndBudgetKnobsReachTheRules) {
   EXPECT_TRUE(median->supports_streaming());
   EXPECT_FALSE(median->streaming_exact());
 
-  // Legacy signature keeps the exact batch-only behaviour.
-  EXPECT_FALSE(make_aggregator("mkrum", 2)->supports_streaming());
-  EXPECT_FALSE(make_aggregator("median", 2)->supports_streaming());
+  // Default options keep the exact batch-only behaviour.
+  EXPECT_FALSE(
+      make_aggregator("mkrum", {.num_byzantine = 2})->supports_streaming());
+  EXPECT_FALSE(
+      make_aggregator("median", {.num_byzantine = 2})->supports_streaming());
 }
 
 }  // namespace

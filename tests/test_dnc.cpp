@@ -96,7 +96,7 @@ TEST(DncRule, IdenticalUpdatesDegenerateGracefully) {
 }
 
 TEST(DncRule, FactoryConstructs) {
-  const auto agg = make_aggregator("dnc", 2);
+  const auto agg = make_aggregator("dnc", {.num_byzantine = 2});
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->name(), "DnC");
 }

@@ -13,7 +13,6 @@
 
 #include "attack/random_weights.h"
 #include "data/partition.h"
-#include "data/synthetic.h"
 #include "fl/registry.h"
 #include "fl/simulation.h"
 #include "nn/module.h"
@@ -75,33 +74,14 @@ TEST(HashedShardSpec, ShardSizeClampedToDataset) {
   EXPECT_EQ(spec.shard(3).size(), 10u);
 }
 
-TEST(ClientRegistry, LazyMatchesEagerMaterialization) {
-  util::Rng rng(5);
-  const auto dataset =
-      data::make_synthetic_dataset(models::Task::kFashion, 200, 99);
-  const data::HashedShardSpec spec(dataset.size(), 5000, 8, 77);
-  const auto factory = models::task_model_factory(models::Task::kFashion);
-  const ClientRegistry lazy(dataset, spec, factory, ClientOptions{});
-  const ClientRegistry eager(dataset, spec, factory, ClientOptions{}, true);
-  EXPECT_TRUE(lazy.lazy());
-  EXPECT_FALSE(eager.lazy());
-  EXPECT_EQ(lazy.population(), 5000);
-  EXPECT_EQ(eager.population(), 5000);
-  for (const std::int64_t id : {std::int64_t{0}, std::int64_t{4999},
-                                std::int64_t{123}}) {
-    EXPECT_EQ(lazy.shard(id), eager.shard(id));
-    EXPECT_EQ(lazy.num_samples(id), eager.num_samples(id));
-  }
-  EXPECT_THROW(lazy.shard(5000), std::invalid_argument);
-  EXPECT_THROW(lazy.shard(-1), std::invalid_argument);
-}
-
 TEST(ProductionSimulation, RunsAndLearnsAtSmallScale) {
   SimulationConfig config = production_config();
   config.rounds = 6;
   Simulation sim(config);
   EXPECT_EQ(sim.population(), 500);
   EXPECT_TRUE(sim.registry().lazy());
+  EXPECT_THROW(sim.registry().shard(500), std::invalid_argument);
+  EXPECT_THROW(sim.registry().shard(-1), std::invalid_argument);
   const auto result = sim.run(nullptr);
   ASSERT_EQ(result.rounds.size(), 6u);
   EXPECT_GT(result.max_accuracy, 0.3);
@@ -115,17 +95,6 @@ TEST(ProductionSimulation, ParallelAndSerialBitwiseEqual) {
   config.parallel_clients = false;
   Simulation ser(config);
   expect_same_result(par.run(nullptr), ser.run(nullptr));
-}
-
-TEST(ProductionSimulation, LazyAndEagerRegistryBitwiseEqual) {
-  SimulationConfig config = production_config();
-  config.eager_registry = false;
-  Simulation lazy(config);
-  config.eager_registry = true;
-  Simulation eager(config);
-  EXPECT_TRUE(lazy.registry().lazy());
-  EXPECT_FALSE(eager.registry().lazy());
-  expect_same_result(lazy.run(nullptr), eager.run(nullptr));
 }
 
 TEST(ProductionSimulation, StreamingBitwiseEqualsBufferedAndBoundsMemory) {

@@ -179,19 +179,6 @@ TEST(Simulation, ZeroAttackerRunIsCleanBaseline) {
   EXPECT_EQ(attacked.final_model, baseline.final_model);
 }
 
-TEST(Simulation, AtLeastOneRoundingGuaranteesAnAttacker) {
-  SimulationConfig config = tiny_config();
-  config.malicious_fraction = 0.02;  // floors to zero attackers...
-  config.malicious_rounding = MaliciousRounding::kAtLeastOne;
-  Simulation sim(config);
-  EXPECT_EQ(sim.num_malicious(), 1);  // ...unless the knob promotes one
-
-  // The knob only breaks floor-to-zero ties; a zero fraction stays clean.
-  config.malicious_fraction = 0.0;
-  Simulation clean(config);
-  EXPECT_EQ(clean.num_malicious(), 0);
-}
-
 TEST(Simulation, EvalEveryReducesEvaluations) {
   SimulationConfig config = tiny_config();
   config.eval_every = 3;
@@ -267,7 +254,7 @@ TEST(Simulation, CustomDefenseFactoryOverridesName) {
   SimulationConfig config = tiny_config();
   config.defense = "bogus-name-ignored";
   config.custom_defense = [] {
-    return defense::make_aggregator("median", 0);
+    return defense::make_aggregator("median", {.num_byzantine = 0});
   };
   Simulation sim(config);
   EXPECT_GT(sim.run(nullptr).max_accuracy, 0.3);

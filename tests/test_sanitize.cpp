@@ -1,5 +1,5 @@
-// Runtime coverage for the ingress sanitize layer (defense/sanitize.h):
-// the dynamic counterpart of the A11-A15 taint rules. Registered at
+// Runtime coverage for the ingress sanitize layer (defense/sanitize.h),
+// the server's trust boundary for client payloads. Registered at
 // ZKA_THREADS 1/4/8 (see CMakeLists.txt) so the admitted-values path is
 // exercised under every pool size the determinism suite uses.
 #include "defense/sanitize.h"
@@ -130,7 +130,7 @@ TEST(SanitizeWeights, SybilWeightCannotOwnTheMean) {
 class SanitizedDefense : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SanitizedDefense, PoisonedBatchYieldsFiniteModel) {
-  auto agg = make_aggregator(GetParam(), 2);
+  auto agg = make_aggregator(GetParam(), {.num_byzantine = 2});
   std::vector<Update> updates;
   for (int k = 0; k < 8; ++k) {
     updates.push_back(Update{0.1f * static_cast<float>(k), 1.0f, -0.5f});

@@ -36,16 +36,19 @@ and that code review keeps re-litigating:
                            through util/prof (scoped timers + now_ns),
                            which is the single switchable, mergeable
                            source of timing truth.
+  R7 unordered-container   No std::unordered_{map,set,multimap,multiset}
+                           in src/: their iteration order is
+                           implementation-defined, so a result that walks
+                           one is not reproducible across standard
+                           libraries. Membership-only uses opt out.
 
 A line can opt out with a trailing or preceding comment:
 
     // zka-lint: allow(rule-name) -- justification
 
 Escape hygiene is enforced too: an allow() naming an unknown rule is an
-error, and an allow() for an R-rule that no longer suppresses anything
-is an error (dead escapes must be deleted, not accumulate). Escapes for
-the AST rules A1-A10 are name-validated only here; their usage is
-checked by tools/zka_analyze, which owns those rules.
+error, and an allow() that no longer suppresses anything is an error
+(dead escapes must be deleted, not accumulate).
 
 Runs from the repo root (CMake registers it as the `check_invariants`
 test); exits non-zero and prints `path:line: [rule] message` per hit.
@@ -61,20 +64,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 CXX_EXTS = {".cpp", ".h", ".inl"}
 SCAN_ROOTS = ["src", "tests", "bench", "examples", "tools"]
-# Never scanned: the zka_analyze fixtures are deliberate violations with
-# their own expectations and driver.
-DENY_ROOTS = ("tools/zka_analyze/tests",)
 
 ALLOW_RE = re.compile(r"zka-lint:\s*allow\(([A-Za-z0-9-]+)\)")
-
-# Rules owned by tools/zka_analyze (AST-level); escapes naming them are
-# validated here but their usage is checked by the analyzer itself.
-FOREIGN_RULES = {
-    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10",
-    "A11", "A12", "A13", "A14", "A15",
-}
-
-TRUST_JSON = REPO / "tools" / "zka_analyze" / "trust.json"
 
 
 def cxx_files(root: Path):
@@ -82,9 +73,6 @@ def cxx_files(root: Path):
         return
     for path in sorted(root.rglob("*")):
         if path.suffix in CXX_EXTS and path.is_file():
-            rel = path.relative_to(REPO).as_posix()
-            if rel.startswith(DENY_ROOTS):
-                continue
             yield path
 
 
@@ -195,6 +183,13 @@ RULES = [
         "weighted_sum, which own the accumulation order",
         includes=(r"^src/defense/.*\.cpp$",),
     ),
+    Rule(
+        "unordered-container",
+        r"std::unordered_(?:multi)?(?:map|set)\b",
+        "unordered containers iterate in an implementation-defined order; "
+        "use a sorted or indexed container so results are reproducible",
+        includes=(r"^src/",),
+    ),
 ]
 
 # R4's build-file half: the -ffast-math family is banned everywhere (it
@@ -239,13 +234,10 @@ def lint_cxx() -> list[str]:
                         f"    {raw_lines[idx].strip()}"
                     )
     for rel, idx, name in escapes:
-        if name in FOREIGN_RULES:
-            continue  # usage checked by tools/zka_analyze
         if name not in known_rules:
             findings.append(
                 f"{rel}:{idx + 1}: [escape-hygiene] allow({name}) names no "
-                f"known rule (R-rules: {', '.join(sorted(known_rules))}; "
-                f"AST rules: {', '.join(sorted(FOREIGN_RULES))})"
+                f"known rule ({', '.join(sorted(known_rules))})"
             )
         elif (rel, idx, name) not in used_escapes:
             findings.append(
@@ -276,71 +268,8 @@ def lint_build_files() -> list[str]:
     return findings
 
 
-def lint_trust_config() -> list[str]:
-    """tools/zka_analyze/trust.json must stay anchored to real code: a
-    taint source or sanitizer naming a function that no longer exists
-    silently turns its A11-A15 coverage off, which is exactly the failure
-    mode a trust declaration exists to prevent. Every declared entry,
-    parameter name and sanitizer must occur as an identifier somewhere in
-    src/, and every sink-scope prefix must match a real path."""
-    import json
-
-    rel = TRUST_JSON.relative_to(REPO).as_posix()
-    if not TRUST_JSON.exists():
-        return [f"{rel}: [trust-config] file is missing"]
-    try:
-        data = json.loads(TRUST_JSON.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        return [f"{rel}: [trust-config] unparseable JSON: {exc}"]
-
-    idents: set[str] = set()
-    for path in cxx_files(REPO / "src"):
-        idents.update(
-            re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text(encoding="utf-8"))
-        )
-
-    findings = []
-
-    def check_symbol(name: str, what: str) -> None:
-        last = name.rsplit("::", 1)[-1]
-        if last not in idents:
-            findings.append(
-                f"{rel}: [trust-config] {what} '{name}' resolves to no "
-                f"identifier in src/; fix the name or delete the entry"
-            )
-
-    for src in data.get("sources", []):
-        entry = src.get("entry")
-        if not entry:
-            findings.append(f"{rel}: [trust-config] source without an 'entry'")
-            continue
-        check_symbol(entry, "source entry")
-        if src.get("what") not in (None, "params", "return"):
-            findings.append(
-                f"{rel}: [trust-config] source '{entry}' has unknown "
-                f"what={src['what']!r} (use 'params' or 'return')"
-            )
-        for pname in src.get("params") or []:
-            check_symbol(pname, f"source '{entry}' parameter")
-    for sn in data.get("sanitizers", []):
-        fn = sn.get("function")
-        if not fn:
-            findings.append(f"{rel}: [trust-config] sanitizer without a 'function'")
-            continue
-        check_symbol(fn, "sanitizer")
-    scope = data.get("sink_scope") or {}
-    for field in ("include", "exclude"):
-        for prefix in scope.get(field, []):
-            if not (REPO / prefix).exists():
-                findings.append(
-                    f"{rel}: [trust-config] sink_scope {field} prefix "
-                    f"'{prefix}' matches no path in the repo"
-                )
-    return findings
-
-
 def main() -> int:
-    findings = lint_cxx() + lint_build_files() + lint_trust_config()
+    findings = lint_cxx() + lint_build_files()
     if findings:
         print(f"check_invariants: {len(findings)} violation(s)\n")
         for f in findings:
