@@ -10,11 +10,23 @@ AggregationResult Aggregator::aggregate(
   ZKA_CHECK(weights.empty() || weights.size() == updates.size(),
             "aggregate: %zu weights for %zu updates", weights.size(),
             updates.size());
-  return do_aggregate(ingress_.admit_updates(updates),
-                      ingress_.admit_weights(weights));
+  if (!supports_streaming() || !streaming_exact()) {
+    return do_aggregate(ingress_.admit_updates(updates),
+                        ingress_.admit_weights(weights));
+  }
+  // A folding rule has one implementation, its stream: drive it in
+  // submission order. Shapes are proven first so a bad batch throws
+  // before the rule opens a stream it could not finish.
+  validate_updates(updates, weights);
+  begin_stream(updates.front().size(), weights);
+  for (const UpdateView u : updates) stream_update(u);
+  for (const std::size_t i : stream_replay_request()) {
+    stream_replay(i, updates[i]);
+  }
+  return finish_stream();
 }
 
-// Pure delegation: the span overload sanitizes and do_aggregate validates.
+// Pure delegation: the span overload sanitizes, validates and dispatches.
 AggregationResult Aggregator::aggregate(
     const std::vector<Update>& updates,
     const std::vector<std::int64_t>& weights) {
@@ -51,6 +63,15 @@ void Aggregator::do_begin_stream(std::size_t dim,
 void Aggregator::do_stream_update(UpdateView update) {
   // Views live until finish_stream (aggregator.h)
   held_.push_back(update);
+}
+
+AggregationResult Aggregator::do_aggregate(
+    std::span<const UpdateView> updates,
+    std::span<const std::int64_t> weights) {
+  (void)updates;
+  (void)weights;
+  ZKA_CHECK(false, "%s folds its stream and has no batch rule", name().c_str());
+  return {};
 }
 
 void Aggregator::do_stream_replay(std::size_t index, UpdateView update) {

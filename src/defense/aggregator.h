@@ -52,6 +52,8 @@ class Aggregator {
   /// Aggregates the round's updates; weights[i] is the sample count of
   /// client i (used by weighted FedAvg; robust rules may ignore it).
   /// Requires at least one update; all updates must have equal size.
+  /// An exact folding rule is driven through its own stream (protocol
+  /// below); every other rule runs do_aggregate on the admitted rows.
   AggregationResult aggregate(std::span<const UpdateView> updates,
                               std::span<const std::int64_t> weights);
 
@@ -111,13 +113,14 @@ class Aggregator {
   //
   // Contract: whenever streaming_exact(), finish_stream() returns a model
   // bitwise-identical to aggregate() on the same updates in the same
-  // order — trivially for the buffering default, and by accumulation order
-  // for FedAvg (tensor::weighted_sum's) and the sketched Krum family (the
-  // same plan/replay sums). The tree median/trimmed-mean under a memory
-  // budget (statistic.h) folds through a documented approximation: false
-  // from streaming_exact(), bitwise deterministic for a fixed arrival
-  // order and budget, and equal to the batch rule when one wave holds the
-  // round.
+  // order, by construction: a buffering rule's stream ends in the same
+  // do_aggregate call, and aggregate() on an exact folding rule (FedAvg,
+  // the sketched one-shot Krum family) is a driver of that rule's stream.
+  // The tree median/trimmed-mean under a memory budget (statistic.h)
+  // folds through a documented approximation: false from
+  // streaming_exact(), so aggregate() keeps its exact batch rule; the
+  // stream is bitwise deterministic for a fixed arrival order and budget,
+  // and equal to the batch rule when one wave holds the round.
 
   /// True when this rule folds each update as it arrives, so the server
   /// may free an update once its stream_update returns. False (the
@@ -125,9 +128,11 @@ class Aggregator {
   virtual bool supports_streaming() const noexcept { return false; }
 
   /// True when finish_stream() is guaranteed bitwise-identical to
-  /// aggregate() on the same updates in the same order. Approximate
-  /// streaming rules (tree median/trmean) override to false and document
-  /// their agreement bounds.
+  /// aggregate() on the same updates in the same order; a folding rule
+  /// that is exact has aggregate() drive its stream. Approximate
+  /// streaming rules (tree median/trmean) override to false, keep an
+  /// exact batch rule for aggregate(), and document their agreement
+  /// bounds.
   virtual bool streaming_exact() const noexcept { return true; }
 
   /// Starts a round: `dim` coordinates per update, one weight per
@@ -163,9 +168,10 @@ class Aggregator {
   // Per-rule implementations, called with sanitized input. Overrides must
   // still establish their own contract (validate_updates / ZKA_CHECK):
   // sanitization normalizes values, it does not prove shapes.
-  virtual AggregationResult do_aggregate(
-      std::span<const UpdateView> updates,
-      std::span<const std::int64_t> weights) = 0;
+  // do_aggregate is the batch rule of a rule that cannot fold exactly;
+  // the default throws, so an exact folding rule defines only its stream.
+  virtual AggregationResult do_aggregate(std::span<const UpdateView> updates,
+                                         std::span<const std::int64_t> weights);
   // Defaults: buffer the round (protocol note above); replays throw.
   virtual void do_begin_stream(std::size_t dim,
                                std::span<const std::int64_t> weights);

@@ -1,6 +1,5 @@
 #include "defense/fedavg.h"
 
-
 #include "tensor/reduce.h"
 #include "util/check.h"
 #include "util/prof.h"
@@ -21,22 +20,6 @@ std::vector<double> fedavg_coefficients(
     }
   }
   return coeffs;
-}
-
-AggregationResult FedAvg::do_aggregate(std::span<const UpdateView> updates,
-                                    std::span<const std::int64_t> weights) {
-  ZKA_PROF_SCOPE("aggregate/fedavg");
-  validate_updates(updates, weights);
-  const std::size_t dim = updates.front().size();
-  const std::vector<double> coeffs = fedavg_coefficients(weights);
-  std::vector<double> acc(dim);
-  tensor::weighted_sum(updates, coeffs, acc);
-  AggregationResult result;
-  result.model.resize(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    result.model[i] = static_cast<float>(acc[i]);
-  }
-  return result;
 }
 
 void FedAvg::do_begin_stream(std::size_t dim,

@@ -8,16 +8,14 @@ namespace zka::defense {
 
 class FedAvg : public Aggregator {
  public:
-  AggregationResult do_aggregate(std::span<const UpdateView> updates,
-                              std::span<const std::int64_t> weights) override;
   bool selects_clients() const noexcept override { return false; }
   std::string name() const override { return "FedAvg"; }
 
-  /// A weighted mean folds one update at a time: the streaming path
-  /// replays tensor::weighted_sum's exact per-coordinate accumulation
-  /// order (coefficients fixed up front from the full weight list, one
-  /// axpy per update in submission order), so it is bitwise identical to
-  /// aggregate() while holding O(dim) server state instead of O(n·dim).
+  /// A weighted mean folds one update at a time — coefficients fixed up
+  /// front from the full weight list, one axpy per update in submission
+  /// order — holding O(dim) server state instead of O(n·dim). The fold is
+  /// the rule: aggregate() drives it (aggregator.h), so the batch and
+  /// streaming answers are one computation.
   bool supports_streaming() const noexcept override { return true; }
   void do_begin_stream(std::size_t dim,
                     std::span<const std::int64_t> weights) override;
@@ -32,8 +30,7 @@ class FedAvg : public Aggregator {
 };
 
 /// FedAvg mixing coefficients: weights normalized by their sum, or the
-/// unweighted 1/n fallback when the total is zero. Shared by the batch and
-/// streaming paths so they stay bit-identical by construction.
+/// unweighted 1/n fallback when the total is zero.
 std::vector<double> fedavg_coefficients(std::span<const std::int64_t> weights);
 
 /// Unweighted mean of the given updates (shared helper; mKrum and Bulyan

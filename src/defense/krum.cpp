@@ -69,38 +69,10 @@ std::vector<std::size_t> MultiKrum::select(
   return select(std::span<const UpdateView>(views));
 }
 
-AggregationResult MultiKrum::aggregate_sketched(
-    std::span<const UpdateView> updates) {
-  ZKA_PROF_SCOPE("aggregate/mkrum_sketch");
-  const std::size_t n = updates.size();
-  const std::size_t dim = updates.front().size();
-  const std::size_t m = selection_size(n);
-  const tensor::JlSketch sketch(dim, sketch_.sketch_dim, sketch_.seed);
-  const std::vector<float> rows = project_rows(sketch, updates);
-  const SketchedSelectionPlan plan = plan_sketched_selection(
-      sketched_order(rows, n, sketch_.sketch_dim, f_, m, iterative_), n, f_, m,
-      sketch_.recheck_band);
-  // Index-ascending Σ of all updates — the exact accumulation the streaming
-  // path folds per stream_update, which is what makes the two paths
-  // bitwise-identical.
-  std::vector<double> sum_all(dim, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    tensor::axpy(1.0, updates[i], sum_all);
-  }
-  return finish_sketched_selection(
-      plan, sum_all, [&](std::size_t i) { return updates[i]; }, dim);
-}
-
 AggregationResult MultiKrum::do_aggregate(std::span<const UpdateView> updates,
                                        std::span<const std::int64_t> weights) {
   ZKA_PROF_SCOPE("aggregate/mkrum");
   validate_updates(updates, weights);
-  const std::size_t n = updates.size();
-  ZKA_CHECK(n == 1 || f_ < n,
-            "MultiKrum: assumed Byzantine count f=%zu must be < n=%zu", f_, n);
-  if (n > 1 && sketch_.enabled_for(n, updates.front().size())) {
-    return aggregate_sketched(updates);
-  }
   AggregationResult result;
   result.selected = select(updates);
   result.model = mean_of(updates, result.selected);

@@ -10,7 +10,7 @@
 // dimension (defense/sketch.h); the one-shot variant then also streams —
 // O(n·k) sketch state plus one O(d) running sum instead of n·d buffers —
 // using the replay protocol in aggregator.h for the exact second pass.
-// Buffered and streaming paths produce bitwise-identical results.
+// That stream is the one-shot sketched rule: aggregate() drives it.
 #pragma once
 
 #include <optional>
@@ -51,10 +51,10 @@ class MultiKrum : public Aggregator {
   // stream_update, the ranking happens at stream_replay_request() time,
   // and the requested O(f + band) updates return once more for the exact
   // re-check + final mean. Rounds where sketching does not apply (small
-  // n, low dim) silently copy the rows and run the exact rule, so
-  // finish_stream() always equals aggregate(). Without a sketch (or when
-  // iterative) the rule cannot fold, and the four stream hooks forward to
-  // the Aggregator buffering default.
+  // n, low dim) silently copy the rows and run the exact rule. Without a
+  // sketch (or when iterative) the rule cannot fold: the stream hooks
+  // forward to the Aggregator buffering default, and do_aggregate
+  // averages the select() set (which sketches the iterative ranking too).
   bool supports_streaming() const noexcept override {
     return sketch_.sketch_dim > 0 && !iterative_;
   }
@@ -70,7 +70,6 @@ class MultiKrum : public Aggregator {
     const std::size_t m = m_ == 0 ? (n > f_ ? n - f_ : 1) : m_;
     return std::min(m, n);
   }
-  AggregationResult aggregate_sketched(std::span<const UpdateView> updates);
   void reset_stream();
 
   std::size_t f_;

@@ -29,9 +29,7 @@
 // functions of (updates, options) with fixed association orders — block
 // grids for the Gram pass, index-ascending accumulation for sums, (score,
 // index) tie-breaks for every ranking — so results are bitwise identical
-// for any thread count, and the buffered and streaming paths produce
-// bitwise-identical models by construction (both fold the same sums in
-// the same order).
+// for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +120,7 @@ std::vector<std::size_t> recheck_selection(
 
 /// recheck_selection plus the final unweighted mean of the selection,
 /// folded from `sum_all` by adding the selected rows (m small) or
-/// subtracting the rejected rows (m large) — both index-ascending, so
-/// buffered and streaming callers get bitwise-identical models.
+/// subtracting the rejected rows (m large), both index-ascending.
 AggregationResult finish_sketched_selection(
     const SketchedSelectionPlan& plan, std::span<const double> sum_all,
     const std::function<UpdateView(std::size_t)>& full_row, std::size_t dim);

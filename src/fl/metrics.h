@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "data/dataset.h"
 #include "models/models.h"
@@ -26,37 +25,5 @@ double evaluate_accuracy(const models::ModelFactory& factory,
                          std::span<const float> params,
                          const data::Dataset& dataset,
                          std::int64_t batch_size = 64);
-
-/// Row-major L x L confusion matrix: entry [true][predicted] counts test
-/// samples. Useful for diagnosing ZKA's decoy-class bias — the poisoned
-/// model over-predicts Ỹ, which shows up as a bright column.
-struct ConfusionMatrix {
-  std::int64_t num_classes = 0;
-  std::vector<std::int64_t> counts;  // num_classes * num_classes
-
-  std::int64_t at(std::int64_t truth, std::int64_t predicted) const;
-  /// Per-class recall (diagonal / row sum); NaN for absent classes.
-  std::vector<double> per_class_accuracy() const;
-  /// Overall accuracy (trace / total).
-  double accuracy() const noexcept;
-  /// The class predicted most often across all samples.
-  std::int64_t most_predicted_class() const;
-};
-
-ConfusionMatrix evaluate_confusion(const models::ModelFactory& factory,
-                                   std::span<const float> params,
-                                   const data::Dataset& dataset,
-                                   std::int64_t batch_size = 64);
-
-/// Backdoor success rate (targeted-attack metric, extension): fraction of
-/// *triggered* test images classified as `target_label`, excluding images
-/// whose true label already is the target (their prediction is correct
-/// either way). Returns NaN if no eligible images exist.
-double backdoor_success_rate(const models::ModelFactory& factory,
-                             std::span<const float> params,
-                             const data::Dataset& clean_test,
-                             std::int64_t target_label,
-                             std::int64_t trigger_size,
-                             std::int64_t batch_size = 64);
 
 }  // namespace zka::fl

@@ -6,11 +6,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <ostream>
 #include <stdexcept>
 
-#include "attack/backdoor.h"
 #include "fl/experiment.h"
 
 namespace zka::fl {
@@ -36,34 +34,23 @@ core::ZkaOptions zka() {
   return z;
 }
 
-/// An attack under test: every AttackKind that make_attack builds, plus
-/// the backdoor extension, which make_attack does not.
+/// An attack under test: every AttackKind that make_attack builds.
 struct AttackCase {
-  std::string name;
-  std::function<std::unique_ptr<attack::Attack>(const Simulation&,
-                                                std::uint64_t seed)>
-      make;
+  AttackKind kind;
   bool finite = true;
+
+  std::unique_ptr<attack::Attack> make(const Simulation& sim,
+                                       std::uint64_t seed) const {
+    return make_attack(kind, sim, zka(), seed);
+  }
 };
 
-void PrintTo(const AttackCase& c, std::ostream* os) { *os << c.name; }
-
-AttackCase of_kind(AttackKind kind, bool finite = true) {
-  return {attack_kind_name(kind),
-          [kind](const Simulation& sim, std::uint64_t seed) {
-            return make_attack(kind, sim, zka(), seed);
-          },
-          finite};
+void PrintTo(const AttackCase& c, std::ostream* os) {
+  *os << attack_kind_name(c.kind);
 }
 
-AttackCase backdoor() {
-  return {"Backdoor", [](const Simulation& sim, std::uint64_t seed) {
-            return std::unique_ptr<attack::Attack>(
-                std::make_unique<attack::BackdoorAttack>(
-                    sim.malicious_data(),
-                    models::task_model_factory(sim.config().task),
-                    attack::BackdoorOptions{}, seed));
-          }};
+AttackCase of_kind(AttackKind kind, bool finite = true) {
+  return {kind, finite};
 }
 
 class AttackProperty : public ::testing::TestWithParam<AttackCase> {
@@ -140,7 +127,7 @@ TEST_P(AttackProperty, RejectsInconsistentContext) {
 }
 
 std::string case_name(const ::testing::TestParamInfo<AttackCase>& info) {
-  std::string name = info.param.name;
+  std::string name = attack_kind_name(info.param.kind);
   for (auto& ch : name) {
     if (ch == '-') ch = '_';
   }
@@ -170,9 +157,6 @@ INSTANTIATE_TEST_SUITE_P(NaNInjection, AttackProperty,
                          ::testing::Values(of_kind(AttackKind::kNaNInjection,
                                                    /*finite=*/false)),
                          case_name);
-
-INSTANTIATE_TEST_SUITE_P(Backdoor, AttackProperty,
-                         ::testing::Values(backdoor()), case_name);
 
 }  // namespace
 }  // namespace zka::fl

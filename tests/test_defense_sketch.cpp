@@ -7,8 +7,9 @@
 //   * plan_sketched_selection's replay set: ascending, unique, bounded;
 //   * sketched-vs-exact selection agreement for mKrum / Bulyan under
 //     ZKA-R sybils at n = 32 and n = 256 (the acceptance bar is >= 95%);
-//   * bitwise equality of the buffered and streaming sketched-mKrum
-//     paths through the full replay protocol;
+//   * the streaming sketched mKrum through the full replay protocol
+//     keeps exactly the batch select() set and means it, and aggregate()
+//     is that stream;
 //   * tree median / trimmed-mean: exact when one wave holds the round,
 //     deterministic (and honestly labelled approximate) otherwise.
 #include "defense/sketch.h"
@@ -22,6 +23,7 @@
 
 #include "core/zka_r.h"
 #include "defense/bulyan.h"
+#include "defense/fedavg.h"
 #include "defense/krum.h"
 #include "defense/statistic.h"
 #include "models/models.h"
@@ -277,15 +279,12 @@ TEST(SketchedBulyan, SketchedMatchesExactSelection) {
       << "sketched Bulyan drifted from the exact selection";
 }
 
-TEST(SketchedMkrumStreaming, BitwiseEqualsBufferedAggregate) {
+TEST(SketchedMkrumStreaming, KeepsTheBatchSelectionAndMeansIt) {
   const std::size_t n = 32, sybils = 4;
   const auto updates = zka_round_updates(n, sybils, sybils, 0xD3);
   const auto weights = unit_weights(n);
   const std::size_t dim = updates.front().size();
   const SketchOptions sketch{.sketch_dim = 256, .recheck_band = 16};
-
-  MultiKrum buffered(sybils, 0, /*iterative=*/false, sketch);
-  const AggregationResult batch = buffered.aggregate(updates, weights);
 
   MultiKrum streaming(sybils, 0, /*iterative=*/false, sketch);
   ASSERT_TRUE(streaming.supports_streaming());
@@ -299,12 +298,23 @@ TEST(SketchedMkrumStreaming, BitwiseEqualsBufferedAggregate) {
   for (const std::size_t i : replay) streaming.stream_replay(i, updates[i]);
   const AggregationResult streamed = streaming.finish_stream();
 
-  EXPECT_EQ(batch.selected, streamed.selected);
-  ASSERT_EQ(batch.model.size(), streamed.model.size());
-  for (std::size_t i = 0; i < batch.model.size(); ++i) {
-    ASSERT_EQ(batch.model[i], streamed.model[i])
+  // Reference without the stream: select() projects the batch in one
+  // pass, and mean_of sums the selection directly.
+  const std::vector<std::size_t> selected = streaming.select(updates);
+  EXPECT_EQ(selected, streamed.selected);
+  const Update mean = mean_of(as_views(updates), selected);
+  ASSERT_EQ(mean.size(), streamed.model.size());
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    ASSERT_NEAR(mean[i], streamed.model[i],
+                1e-5f * std::max(1.0f, std::abs(mean[i])))
         << "streaming diverged at coordinate " << i;
   }
+
+  // aggregate() drives the same stream.
+  MultiKrum batch(sybils, 0, /*iterative=*/false, sketch);
+  const AggregationResult driven = batch.aggregate(updates, weights);
+  EXPECT_EQ(driven.selected, streamed.selected);
+  EXPECT_EQ(driven.model, streamed.model);
 }
 
 TEST(SketchedMkrumStreaming, DegenerateSmallRoundBuffersAndStaysExact) {
@@ -319,8 +329,10 @@ TEST(SketchedMkrumStreaming, DegenerateSmallRoundBuffersAndStaysExact) {
   const auto weights = unit_weights(n);
   const SketchOptions sketch{.sketch_dim = 256, .recheck_band = 16};
 
-  MultiKrum buffered(2, 0, /*iterative=*/false, sketch);
-  const AggregationResult batch = buffered.aggregate(updates, weights);
+  // The unsketched rule never streams: its aggregate() is the batch rule.
+  MultiKrum exact(2, 0);
+  ASSERT_FALSE(exact.supports_streaming());
+  const AggregationResult batch = exact.aggregate(updates, weights);
 
   MultiKrum streaming(2, 0, /*iterative=*/false, sketch);
   streaming.begin_stream(dim, weights);

@@ -1,10 +1,10 @@
 // Randomized differential harness for the server ingestion protocol
 // (defense/aggregator.h): every round reaches a rule as
-// begin_stream -> stream_update* -> stream_replay* -> finish_stream, and
-// aggregate() survives as the batch reference. For every factory rule —
-// plus the sketched Krum family and the budgeted tree median/trmean — it
-// draws seeded random rounds (n, d, f, weights with zeros and INT64_MAX,
-// NaN/Inf rows, budgets, sybil duplicates) and asserts:
+// begin_stream -> stream_update* -> stream_replay* -> finish_stream. For
+// every factory rule — plus the sketched Krum family and the budgeted tree
+// median/trmean — it draws seeded random rounds (n, d, f, weights with
+// zeros and INT64_MAX, NaN/Inf rows, budgets, sybil duplicates) and
+// asserts:
 //
 //   * one wave (every view live until finish_stream) == aggregate(),
 //     bitwise, or both throw the same exception type;
@@ -14,12 +14,23 @@
 //     wave == aggregate();
 //   * on finite input with unclamped weights, sanitize off == sanitize on.
 //
+// aggregate() drives the stream of an exact folding rule, so for FedAvg
+// and the sketched one-shot Krum family the first two checks compare the
+// stream with itself. Those rules answer to references computed without
+// the stream, on the rows and weights the ingress layer admits:
+//
+//   * FedAvg == tensor::weighted_sum with fedavg_coefficients, bitwise;
+//   * sketched krum/mkrum keep exactly MultiKrum::select's set (select
+//     projects the whole batch at once, the stream one row per call) and
+//     return mean_of that set up to float rounding.
+//
 // Registered at ZKA_THREADS 1/4/8 (tests/CMakeLists.txt): the parallel
 // kernels under the rules must agree with the batch path at every pool
 // size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -31,7 +42,10 @@
 #include <vector>
 
 #include "defense/aggregator.h"
+#include "defense/fedavg.h"
+#include "defense/krum.h"
 #include "defense/statistic.h"
+#include "tensor/reduce.h"
 #include "util/rng.h"
 
 namespace zka::defense {
@@ -190,6 +204,63 @@ Outcome stream(const Round& r, const Variant& v, bool one_wave) {
   });
 }
 
+/// The round as the ingress layer hands it to a rule, copied out of the
+/// layer's scratch.
+struct Admitted {
+  std::vector<Update> rows;
+  std::vector<std::int64_t> weights;
+};
+
+Admitted admit(const Round& r) {
+  sanitize::Ingress ingress;
+  const std::vector<UpdateView> views = as_views(r.updates);
+  Admitted a;
+  for (const UpdateView row : ingress.admit_updates(views)) {
+    a.rows.emplace_back(row.begin(), row.end());
+  }
+  const auto weights = ingress.admit_weights(r.weights);
+  a.weights.assign(weights.begin(), weights.end());
+  return a;
+}
+
+/// FedAvg without the stream: one weighted_sum over the admitted rows.
+Outcome fedavg_reference(const Round& r) {
+  const Admitted a = admit(r);
+  const std::vector<UpdateView> rows = as_views(a.rows);
+  std::vector<double> acc(r.dim);
+  tensor::weighted_sum(rows, fedavg_coefficients(a.weights), acc);
+  Outcome out;
+  for (const double x : acc) out.model.push_back(static_cast<float>(x));
+  return out;
+}
+
+/// Sketched one-shot Krum/mKrum checked against the batch select() and
+/// mean_of of what it selects.
+void expect_matches_select(const Round& r, const Variant& v, const Outcome& got,
+                           const std::string& what) {
+  const Admitted a = admit(r);
+  const std::vector<UpdateView> rows = as_views(a.rows);
+  const auto rule = make_aggregator(v.name, r.options);
+  const Outcome want = capture([&] {
+    AggregationResult result;
+    result.selected = dynamic_cast<const MultiKrum&>(*rule).select(rows);
+    result.model = mean_of(rows, result.selected);
+    return result;
+  });
+  EXPECT_EQ(want.thrown, got.thrown) << what;
+  if (!want.thrown.empty() || !got.thrown.empty()) return;
+  EXPECT_EQ(want.selected, got.selected) << what;
+  ASSERT_EQ(want.model.size(), got.model.size()) << what;
+  // The stream folds its mean from the running sum of all rows; mean_of
+  // sums the selection. Both round one double mean to float.
+  float worst = 0.0f;
+  for (std::size_t j = 0; j < want.model.size(); ++j) {
+    const float scale = std::max(1.0f, std::abs(want.model[j]));
+    worst = std::max(worst, std::abs(want.model[j] - got.model[j]) / scale);
+  }
+  EXPECT_LE(worst, 1e-5f) << what;
+}
+
 class IngestDifferential : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(IngestDifferential, StreamMatchesBatch) {
@@ -201,6 +272,7 @@ TEST_P(IngestDifferential, StreamMatchesBatch) {
   }
   util::Rng rng(seed);
   std::size_t compared_multi = 0;
+  std::size_t sketched_rounds = 0;
   bool folds_seen = false;
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
     const Round r = draw_round(v, rng);
@@ -215,6 +287,17 @@ TEST_P(IngestDifferential, StreamMatchesBatch) {
         v.budgeted && coord_tree_wave(r.options.memory_budget_bytes, r.dim,
                                       r.updates.size()) >= r.updates.size();
     const Outcome want = batch(r, v);
+    const std::string name = v.name;
+    if (name == "fedavg") {
+      expect_same(fedavg_reference(r), want, what + " weighted_sum");
+    }
+    if (v.sketched && (name == "krum" || name == "mkrum")) {
+      expect_matches_select(r, v, want, what + " select");
+      const SketchOptions sketch{.sketch_dim = r.options.sketch_dim};
+      if (want.thrown.empty() && sketch.enabled_for(r.updates.size(), r.dim)) {
+        ++sketched_rounds;
+      }
+    }
 
     if (exact || one_tree_wave) {
       expect_same(want, stream(r, v, /*one_wave=*/true), what + " one wave");
@@ -237,6 +320,10 @@ TEST_P(IngestDifferential, StreamMatchesBatch) {
   // A folding rule must actually have been compared across waves.
   if (folds_seen) {
     EXPECT_GT(compared_multi, 0u) << v.name;
+  }
+  // The select() reference must have met rounds that really sketch.
+  if (v.sketched && std::string(v.name) != "bulyan") {
+    EXPECT_GT(sketched_rounds, 0u) << v.name;
   }
 }
 

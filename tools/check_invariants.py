@@ -41,8 +41,13 @@ and that code review keeps re-litigating:
                            implementation-defined, so a result that walks
                            one is not reproducible across standard
                            libraries. Membership-only uses opt out.
+  R8 orphan-header         Every src/ header is #included by some file in
+                           src/, bench/ or examples/ besides its own .cpp.
+                           Code whose only caller is its own test is dead
+                           weight; delete it rather than carry it.
 
-A line can opt out with a trailing or preceding comment:
+A line can opt out with a trailing or preceding comment (R8, a per-file
+rule, takes the comment anywhere in the header):
 
     // zka-lint: allow(rule-name) -- justification
 
@@ -192,6 +197,50 @@ RULES = [
     ),
 ]
 
+ORPHAN_HEADER = "orphan-header"
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+# Roots whose includes keep a src/ header alive; tests/ deliberately absent.
+INCLUDER_ROOTS = ["src", "bench", "examples"]
+
+
+def lint_orphan_headers() -> tuple[list[str], set[tuple[str, int, str]]]:
+    """R8: src/ headers nothing but their own .cpp includes.
+
+    Returns the findings and the escapes that suppressed one.
+    """
+    src = REPO / "src"
+    includers: dict[Path, set[Path]] = {}
+    for root_name in INCLUDER_ROOTS:
+        for path in cxx_files(REPO / root_name):
+            for name in INCLUDE_RE.findall(path.read_text(encoding="utf-8")):
+                for base in (path.parent, src):
+                    target = (base / name).resolve()
+                    if target.is_file():
+                        includers.setdefault(target, set()).add(path.resolve())
+                        break
+    findings = []
+    used: set[tuple[str, int, str]] = set()
+    for header in cxx_files(src):
+        if header.suffix != ".h":
+            continue
+        own_cpp = header.with_suffix(".cpp").resolve()
+        if includers.get(header.resolve(), set()) - {own_cpp}:
+            continue
+        rel = header.relative_to(REPO).as_posix()
+        lines = header.read_text(encoding="utf-8").splitlines()
+        escapes = [i for i, line in enumerate(lines)
+                   if ORPHAN_HEADER in ALLOW_RE.findall(line)]
+        if escapes:
+            used.update((rel, i, ORPHAN_HEADER) for i in escapes)
+            continue
+        findings.append(
+            f"{rel}:1: [{ORPHAN_HEADER}] no file in "
+            f"{', '.join(INCLUDER_ROOTS)} includes this header except its "
+            f"own .cpp; code only its test calls should be deleted"
+        )
+    return findings, used
+
+
 # R4's build-file half: the -ffast-math family is banned everywhere (it
 # would let the compiler reassociate the fixed-order reductions and
 # outlaws the +inf tile padding in the sort network).
@@ -199,12 +248,11 @@ FASTMATH_RE = re.compile(r"-ffast-math|-ffinite-math-only|-funsafe-math")
 
 
 def lint_cxx() -> list[str]:
-    findings = []
-    known_rules = {r.name for r in RULES}
+    findings, used_escapes = lint_orphan_headers()
+    known_rules = {r.name for r in RULES} | {ORPHAN_HEADER}
     # (rel, line_idx, rule) for every escape comment, and the subset that
     # actually suppressed a finding -- the difference is dead weight.
     escapes: list[tuple[str, int, str]] = []
-    used_escapes: set[tuple[str, int, str]] = set()
     for root_name in SCAN_ROOTS:
         for path in cxx_files(REPO / root_name):
             rel = path.relative_to(REPO).as_posix()
