@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("ablation_defense", args, scale);
+  const bench::Trace trace(args);
   const models::Task task = models::Task::kFashion;
   fl::BaselineCache baselines;
   const core::ZkaOptions zka = bench::default_zka_options(task);
@@ -34,17 +34,8 @@ int main(int argc, char** argv) {
       config.custom_defense = [p] {
         return std::make_unique<defense::MultiKrum>(p.f, p.m);
       };
-      const std::string label = std::string("mkrum/f=") +
-                                std::to_string(p.f) +
-                                "/m=" + std::to_string(p.m) + "/" +
-                                fl::attack_kind_name(attack);
       const fl::ExperimentOutcome outcome =
-          bench::timed(report, label, [&] {
-            return fl::run_experiment(config, attack, zka, scale.runs,
-                                      baselines);
-          });
-      report.add_metric(label, "asr", outcome.asr);
-      report.add_metric(label, "dpr", outcome.dpr);
+          fl::run_experiment(config, attack, zka, scale.runs, baselines);
       mkrum_table.add_row(
           {fl::attack_kind_name(attack), std::to_string(p.f),
            p.m == 0 ? "n-f" : std::to_string(p.m),
@@ -78,15 +69,8 @@ int main(int argc, char** argv) {
       } else {
         config.defense = defense;
       }
-      const std::string label =
-          std::string(defense) + "/" + fl::attack_kind_name(attack);
       const fl::ExperimentOutcome outcome =
-          bench::timed(report, label, [&] {
-            return fl::run_experiment(config, attack, zka, scale.runs,
-                                      baselines);
-          });
-      report.add_metric(label, "asr", outcome.asr);
-      report.add_metric(label, "acc", outcome.max_acc);
+          fl::run_experiment(config, attack, zka, scale.runs, baselines);
       ext_table.add_row({defense, fl::attack_kind_name(attack),
                          util::Table::fmt(outcome.max_acc, 1),
                          util::Table::fmt(outcome.asr, 2),
@@ -99,6 +83,6 @@ int main(int argc, char** argv) {
   ext_table.print(
       "\nAblation — extension defenses (not in the paper) vs ZKA/Min-Max");
   bench::maybe_write_csv(args, ext_table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -70,7 +70,7 @@ double probe_separability(models::Task task, attack::Attack& attack,
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("ablation_zka", args, scale);
+  const bench::Trace trace(args);
   const models::Task task = models::Task::kFashion;
   fl::BaselineCache baselines;
 
@@ -81,18 +81,11 @@ int main(int argc, char** argv) {
                        const core::ZkaOptions& zka) {
     const fl::SimulationConfig config =
         bench::make_config(task, scale, "mkrum");
-    const std::string label = std::string(fl::attack_kind_name(kind)) + "/" +
-                              knob + "=" + value;
     const fl::ExperimentOutcome outcome =
-        bench::timed(report, label, [&] {
-          return fl::run_experiment(config, kind, zka, scale.runs,
-                                    baselines);
-        });
+        fl::run_experiment(config, kind, zka, scale.runs, baselines);
     fl::Simulation probe_sim(config);
     const auto attack = fl::make_attack(kind, probe_sim, zka, scale.seed);
     const double sep = probe_separability(task, *attack, scale.seed + 17);
-    report.add_metric(label, "asr", outcome.asr);
-    report.add_metric(label, "separability", sep);
     table.add_row({fl::attack_kind_name(kind), knob, value,
                    util::Table::fmt(outcome.asr, 2),
                    bench::fmt_or_na(outcome.dpr),
@@ -136,6 +129,6 @@ int main(int argc, char** argv) {
 
   table.print("\nAblation — ZKA hyperparameter sensitivity (Fashion, mKrum)");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

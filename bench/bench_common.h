@@ -9,9 +9,11 @@
 //   --seed S          base seed
 //   --task fashion|cifar|all
 //   --csv PATH        also write the table as CSV
-//   --prof            enable the util/prof runtime profiler for this run
-//   --trace PATH      write a Chrome trace-event JSON (load in Perfetto)
-//   --out DIR         directory for BENCH_<name>.json (default: results)
+//   --trace PATH      run with the util/prof runtime profiler on and write
+//                     a Chrome trace-event JSON (load in Perfetto)
+//
+// The table (and its --csv copy) is the bench's reproduction result; the
+// trace is its per-phase cost. Timing is bench/e2e's job.
 //
 // The quick defaults are sized so the whole bench suite regenerates every
 // table and figure in tens of minutes on one CPU core; shapes (who wins,
@@ -22,11 +24,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "bench_json.h"
 #include "core/zka_options.h"
 #include "fl/experiment.h"
 #include "util/cli.h"
@@ -136,63 +135,24 @@ inline void maybe_write_csv(const util::CliArgs& args,
   }
 }
 
-/// Creates the bench's machine-readable report and applies the shared
-/// observability CLI (`--prof` flips the runtime profiler on before any
-/// timed work). The scale knobs are recorded so bench_diff.py can refuse
-/// to compare runs with different configurations.
-inline BenchJson make_report(const std::string& name,
-                             const util::CliArgs& args,
-                             const BenchScale& scale) {
-  if (args.get_bool("prof", false)) util::prof::set_enabled(true);
-  BenchJson report(name);
-  report.set_config("full", std::string(args.get_bool("full", false)
-                                            ? "true" : "false"));
-  report.set_config("runs", static_cast<std::int64_t>(scale.runs));
-  report.set_config("num_clients", scale.num_clients);
-  report.set_config("rounds_fashion", scale.rounds_fashion);
-  report.set_config("rounds_cifar", scale.rounds_cifar);
-  report.set_config("train_fashion", scale.train_fashion);
-  report.set_config("train_cifar", scale.train_cifar);
-  report.set_config("seed", static_cast<std::int64_t>(scale.seed));
-  return report;
-}
-
-/// Variant for benches that do not use BenchScale (e.g. fig4).
-inline BenchJson make_report(const std::string& name,
-                             const util::CliArgs& args) {
-  if (args.get_bool("prof", false)) util::prof::set_enabled(true);
-  return BenchJson(name);
-}
-
-/// Runs `fn`, records its wall time (ns) as one sample of `label`, and
-/// forwards the result.
-template <typename Fn>
-decltype(auto) timed(BenchJson& report, const std::string& label, Fn&& fn) {
-  const std::uint64_t start = util::prof::now_ns();
-  if constexpr (std::is_void_v<std::invoke_result_t<Fn&&>>) {
-    std::forward<Fn>(fn)();
-    report.add_sample(label,
-                      static_cast<double>(util::prof::now_ns() - start));
-  } else {
-    decltype(auto) result = std::forward<Fn>(fn)();
-    report.add_sample(label,
-                      static_cast<double>(util::prof::now_ns() - start));
-    return result;
+/// `--trace PATH`: constructing it switches the util/prof runtime profiler
+/// on before any timed work; write() saves the whole run as a Chrome
+/// trace-event file (load in Perfetto). Both are no-ops without the flag.
+class Trace {
+ public:
+  explicit Trace(const util::CliArgs& args)
+      : path_(args.get_string("trace", "")) {
+    if (!path_.empty()) util::prof::set_enabled(true);
   }
-}
 
-/// Writes BENCH_<name>.json into `--out` (default results/) and, when
-/// `--trace PATH` was given, a Chrome trace-event file of the whole run.
-inline void finish_report(const BenchJson& report,
-                          const util::CliArgs& args) {
-  const std::string path = report.write(args.get_string("out", "results"));
-  std::printf("wrote %s\n", path.c_str());
-  const std::string trace = args.get_string("trace", "");
-  if (!trace.empty()) {
-    util::prof::write_chrome_trace(trace);
-    std::printf("wrote %s (load in https://ui.perfetto.dev)\n",
-                trace.c_str());
+  void write() const {
+    if (path_.empty()) return;
+    util::prof::write_chrome_trace(path_);
+    std::printf("wrote %s (load in https://ui.perfetto.dev)\n", path_.c_str());
   }
-}
+
+ private:
+  std::string path_;
+};
 
 }  // namespace zka::bench

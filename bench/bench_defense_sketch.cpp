@@ -1,7 +1,8 @@
 // Sketched robust aggregation at production cohort sizes: selection
 // agreement of the JL-sketch + exact-recheck path against the exact
 // rules, and wall-clock / server-memory numbers for the O(n)-memory
-// streaming mKrum path at n = 10^4 (10^5 behind --full), d = 10^5.
+// streaming mKrum path at n = 10^4 (10^5 behind --full), d = 10^5. The
+// process's peak RSS is printed at the end.
 //
 // The streaming phase generates every update on the fly from its index
 // (one reusable d-float buffer) and regenerates the replayed rows the
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bool full = args.get_bool("full", false);
-  bench::BenchJson report = bench::make_report("defense_sketch", args);
+  const bench::Trace trace(args);
 
   const std::size_t n_agree =
       static_cast<std::size_t>(args.get_int64("n-agree", 2000));
@@ -93,13 +94,6 @@ int main(int argc, char** argv) {
       << 20;
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int64("seed", 1));
-  report.set_config("n_agree", static_cast<std::int64_t>(n_agree));
-  report.set_config("agree_dim", static_cast<std::int64_t>(agree_dim));
-  report.set_config("n_stream", static_cast<std::int64_t>(n_stream));
-  report.set_config("stream_dim", static_cast<std::int64_t>(stream_dim));
-  report.set_config("sketch_dim", static_cast<std::int64_t>(sketch_dim));
-  report.set_config("recheck_band", static_cast<std::int64_t>(band));
-  report.set_config("budget_bytes", static_cast<std::int64_t>(budget_bytes));
 
   util::Table table({"Phase", "n", "d", "Rule", "agree (%)", "wall (ms)",
                      "server (MiB)"});
@@ -115,14 +109,8 @@ int main(int argc, char** argv) {
                                         .recheck_band = band};
 
     const defense::MultiKrum exact_rule(f), sketched_rule(f, 0, false, sketch);
-    const auto exact =
-        bench::timed(report, "agree/n" + std::to_string(n) + "/exact",
-                     [&] { return exact_rule.select(updates); });
-    const auto approx =
-        bench::timed(report, "agree/n" + std::to_string(n) + "/sketched",
-                     [&] { return sketched_rule.select(updates); });
-    const double agree = agreement(exact, approx);
-    report.add_metric("agree/n" + std::to_string(n), "agreement", agree);
+    const double agree = agreement(exact_rule.select(updates),
+                                   sketched_rule.select(updates));
     ZKA_CHECK(agree >= 0.95,
               "sketched mKrum agreement %.3f < 0.95 at n=%zu", agree, n);
     table.add_row({"agree", std::to_string(n), std::to_string(agree_dim),
@@ -138,15 +126,9 @@ int main(int argc, char** argv) {
       defense::Bulyan exact_bulyan(f), sketched_bulyan(f, sketch);
       const std::vector<std::int64_t> weights(n, 1);
       const auto views = defense::as_views(updates);
-      const auto eb = bench::timed(
-          report, "bulyan/n" + std::to_string(n) + "/exact",
-          [&] { return exact_bulyan.aggregate(views, weights).selected; });
-      const auto sb = bench::timed(
-          report, "bulyan/n" + std::to_string(n) + "/sketched",
-          [&] { return sketched_bulyan.aggregate(views, weights).selected; });
-      const double bulyan_agree = agreement(eb, sb);
-      report.add_metric("bulyan/n" + std::to_string(n), "agreement",
-                        bulyan_agree);
+      const double bulyan_agree =
+          agreement(exact_bulyan.aggregate(views, weights).selected,
+                    sketched_bulyan.aggregate(views, weights).selected);
       table.add_row({"agree", std::to_string(n), std::to_string(agree_dim),
                      "bulyan", util::Table::fmt(bulyan_agree * 100.0, 1), "-",
                      "-"});
@@ -192,13 +174,6 @@ int main(int argc, char** argv) {
               "streaming state %zu bytes exceeds the %zu-byte budget",
               server_bytes, budget_bytes);
     ZKA_CHECK(result.selected.size() == n - f, "unexpected selection size");
-    report.add_sample("stream/mkrum", wall_ms * 1e6);
-    report.add_metric("stream/mkrum", "server_bytes",
-                      static_cast<double>(server_bytes));
-    report.add_metric("stream/mkrum", "exact_bytes",
-                      static_cast<double>(exact_bytes));
-    report.add_metric("stream/mkrum", "replay_rows",
-                      static_cast<double>(replay_rows));
     table.add_row({"stream", std::to_string(n), std::to_string(d), "mkrum",
                    "-", util::Table::fmt(wall_ms, 0),
                    util::Table::fmt(
@@ -212,11 +187,11 @@ int main(int argc, char** argv) {
 
   struct rusage usage = {};
   getrusage(RUSAGE_SELF, &usage);
-  report.set_config("peak_rss_bytes",
-                    static_cast<std::int64_t>(usage.ru_maxrss) * 1024);
+  std::printf("peak RSS: %.1f MiB\n",
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
 
   table.print("\nSketched robust aggregation — agreement and O(n) streaming");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -16,9 +16,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int64("seed", 1));
   const std::int64_t s_size = args.get_int64("size", 50);  // paper: |S| = 50
-  bench::BenchJson report = bench::make_report("fig4", args);
-  report.set_config("seed", static_cast<std::int64_t>(seed));
-  report.set_config("size", s_size);
+  const bench::Trace trace(args);
 
   const models::Task task = models::Task::kFashion;
   const auto factory = models::task_model_factory(task);
@@ -34,9 +32,9 @@ int main(int argc, char** argv) {
   zka.synthetic_size = s_size;
 
   core::ZkaRAttack zka_r(task, zka, seed);
-  bench::timed(report, "zka_r/craft", [&] { zka_r.craft(ctx); });
+  zka_r.craft(ctx);
   core::ZkaGAttack zka_g(task, zka, seed);
-  bench::timed(report, "zka_g/craft", [&] { zka_g.craft(ctx); });
+  zka_g.craft(ctx);
 
   const tensor::Tensor& images_r = zka_r.last_synthetic_images();
   const tensor::Tensor& images_g = zka_g.last_synthetic_images();
@@ -61,8 +59,6 @@ int main(int argc, char** argv) {
   table.print("\nFig. 4 — synthetic-data spread, ZKA-R vs ZKA-G (Fashion)");
   std::printf("variance ratio ZKA-R / ZKA-G: %.2fx  (paper: ZKA-R wider)\n",
               var_r / var_g);
-  report.add_metric("zka_r/craft", "mean_feature_variance", var_r);
-  report.add_metric("zka_g/craft", "mean_feature_variance", var_g);
 
   // 2-D projection coordinates (the scatter itself) as CSV on request.
   const std::string path = args.get_string("csv", "");
@@ -81,6 +77,6 @@ int main(int argc, char** argv) {
     scatter.write_csv(path);
     std::printf("wrote %s\n", path.c_str());
   }
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

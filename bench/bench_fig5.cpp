@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("fig5", args, scale);
+  const bench::Trace trace(args);
 
   const fl::AttackKind attacks[] = {
       fl::AttackKind::kFang,   fl::AttackKind::kLie,
@@ -24,16 +24,9 @@ int main(int argc, char** argv) {
       for (const fl::AttackKind attack : attacks) {
         const fl::SimulationConfig config =
             bench::make_config(task, scale, defense);
-        const std::string label = std::string(models::task_name(task)) +
-                                  "/" + defense + "/" +
-                                  fl::attack_kind_name(attack);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, attack,
-                                        bench::default_zka_options(task),
-                                        scale.runs, baselines);
-            });
-        report.add_metric(label, "dpr", outcome.dpr);
+        const fl::ExperimentOutcome outcome = fl::run_experiment(
+            config, attack, bench::default_zka_options(task), scale.runs,
+            baselines);
         table.add_row({models::task_name(task), defense,
                        fl::attack_kind_name(attack),
                        bench::fmt_or_na(outcome.dpr)});
@@ -45,6 +38,6 @@ int main(int argc, char** argv) {
   }
   table.print("\nFig. 5 — defense pass rate (DPR), Dirichlet beta=0.5");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

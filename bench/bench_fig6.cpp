@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("fig6", args, scale);
+  const bench::Trace trace(args);
   const std::int64_t epochs = args.get_int64("epochs", 10);
   const char* defenses[] = {"mkrum", "trmean", "bulyan", "median"};
 
@@ -55,9 +55,7 @@ int main(int argc, char** argv) {
                          util::Table::fmt(losses[e], 4)});
         }
       });
-      const std::string label =
-          std::string(use_generator ? "ZKA-G" : "ZKA-R") + "/" + defense;
-      bench::timed(report, label, [&] { sim.run(attack.get()); });
+      sim.run(attack.get());
       std::printf("[fig6] %s vs %s: captured loss curves\n",
                   use_generator ? "ZKA-G" : "ZKA-R", defense);
       std::fflush(stdout);
@@ -68,6 +66,6 @@ int main(int argc, char** argv) {
       "ZKA-R's loss decreases (minimized), ZKA-G's increases (maximized); "
       "both flatten within a few epochs.");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

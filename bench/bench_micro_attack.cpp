@@ -4,8 +4,6 @@
 // DESIGN.md.
 #include <benchmark/benchmark.h>
 
-#include "bench_micro_common.h"
-
 #include "core/zka_g.h"
 #include "core/zka_r.h"
 #include "data/synthetic.h"
@@ -94,4 +92,4 @@ BENCHMARK(BM_ZkaRFilterKernelSweep)->Arg(3)->Arg(5)->Arg(7);
 
 }  // namespace
 
-ZKA_BENCH_MAIN("micro_attack");
+BENCHMARK_MAIN();

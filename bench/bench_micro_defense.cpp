@@ -3,8 +3,6 @@
 // mKrum parameter ablation is covered via the f argument).
 #include <benchmark/benchmark.h>
 
-#include "bench_micro_common.h"
-
 #include "defense/aggregator.h"
 #include "util/rng.h"
 
@@ -71,4 +69,4 @@ BENCHMARK(BM_Dnc) DEFENSE_ARGS;
 
 }  // namespace
 
-ZKA_BENCH_MAIN("micro_defense");
+BENCHMARK_MAIN();

@@ -2,8 +2,6 @@
 // of im2col+GEMM convolution vs a naive 7-loop implementation.
 #include <benchmark/benchmark.h>
 
-#include "bench_micro_common.h"
-
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
 #include "tensor/ops.h"
@@ -189,4 +187,4 @@ BENCHMARK(BM_TensorElementwiseAdd);
 
 }  // namespace
 
-ZKA_BENCH_MAIN("micro_tensor");
+BENCHMARK_MAIN();

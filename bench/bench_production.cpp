@@ -9,7 +9,8 @@
 //   --budget-mb N        server update-memory budget for the streaming
 //                        (FedAvg) runs, in MiB (default 2)
 //
-// Per-label metrics: acc, asr, dpr, peak_update_bytes. The bench fails
+// Each row reports acc, ASR, DPR and peak live update KiB; the process's
+// peak RSS is printed after the sweep. The bench fails
 // (contract violation) if a streaming run's peak live update bytes ever
 // exceed the configured budget — that bound is the point of the engine.
 #include <sys/resource.h>
@@ -21,17 +22,13 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   bench::BenchScale scale = bench::scale_from_cli(args);
   scale.rounds_fashion = args.get_int64("rounds", 3);
-  bench::BenchJson report = bench::make_report("production", args, scale);
+  const bench::Trace trace(args);
 
   const std::int64_t population_max =
       args.get_int64("population-max", 1000000);
   const std::int64_t cpr = args.get_int64("cpr", 200);
   const std::size_t budget_bytes =
       static_cast<std::size_t>(args.get_int64("budget-mb", 2)) * (1u << 20);
-  report.set_config("population_max", population_max);
-  report.set_config("clients_per_round", cpr);
-  report.set_config("budget_bytes",
-                    static_cast<std::int64_t>(budget_bytes));
 
   const models::Task task = models::Task::kFashion;
   const double fractions[] = {0.001, 0.005, 0.01};  // 0.1% .. 1% sybils
@@ -68,21 +65,13 @@ int main(int argc, char** argv) {
         char label[96];
         std::snprintf(label, sizeof label, "pop%lld/%s/f%.3f",
                       static_cast<long long>(population), defense, fraction);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, fl::AttackKind::kZkaR,
-                                        bench::default_zka_options(task),
-                                        scale.runs, baselines);
-            });
+        const fl::ExperimentOutcome outcome = fl::run_experiment(
+            config, fl::AttackKind::kZkaR, bench::default_zka_options(task),
+            scale.runs, baselines);
         ZKA_CHECK(!streams || outcome.peak_update_bytes <= budget_bytes,
                   "%s: streaming run held %zu live update bytes, over the "
                   "%zu-byte budget",
                   label, outcome.peak_update_bytes, budget_bytes);
-        report.add_metric(label, "acc", outcome.max_acc);
-        report.add_metric(label, "asr", outcome.asr);
-        report.add_metric(label, "dpr", outcome.dpr);
-        report.add_metric(label, "peak_update_bytes",
-                          static_cast<double>(outcome.peak_update_bytes));
         table.add_row({std::to_string(population), defense,
                        util::Table::fmt(fraction * 100.0, 1),
                        util::Table::fmt(outcome.max_acc, 1),
@@ -102,13 +91,11 @@ int main(int argc, char** argv) {
 
   struct rusage usage = {};
   getrusage(RUSAGE_SELF, &usage);
-  report.set_config("peak_rss_bytes",
-                    static_cast<std::int64_t>(usage.ru_maxrss) * 1024);
   std::printf("peak RSS: %.1f MiB\n",
               static_cast<double>(usage.ru_maxrss) / 1024.0);
 
   table.print("\nProduction sweep — cross-device scale, sub-1% sybils");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -6,7 +6,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("table3", args, scale);
+  const bench::Trace trace(args);
 
   const fl::AttackKind attacks[] = {
       fl::AttackKind::kFang, fl::AttackKind::kLie, fl::AttackKind::kMinMax,
@@ -21,16 +21,9 @@ int main(int argc, char** argv) {
       for (const fl::AttackKind attack : attacks) {
         const fl::SimulationConfig config =
             bench::make_config(task, scale, "bulyan", beta);
-        const std::string label = std::string(models::task_name(task)) +
-                                  "/beta=" + util::Table::fmt(beta, 1) + "/" +
-                                  fl::attack_kind_name(attack);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, attack,
-                                        bench::default_zka_options(task),
-                                        scale.runs, baselines);
-            });
-        report.add_metric(label, "asr", outcome.asr);
+        const fl::ExperimentOutcome outcome = fl::run_experiment(
+            config, attack, bench::default_zka_options(task), scale.runs,
+            baselines);
         table.add_row({models::task_name(task), util::Table::fmt(beta, 1),
                        fl::attack_kind_name(attack),
                        util::Table::fmt(outcome.acc_natk, 1),
@@ -45,6 +38,6 @@ int main(int argc, char** argv) {
   table.print(
       "\nTable III — ASR vs data heterogeneity (Bulyan defense)");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -7,7 +7,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("table4", args, scale);
+  const bench::Trace trace(args);
 
   struct Pair {
     fl::AttackKind static_kind;
@@ -30,22 +30,10 @@ int main(int argc, char** argv) {
         const fl::SimulationConfig config =
             bench::make_config(task, scale, defense);
         const core::ZkaOptions zka = bench::default_zka_options(task);
-        const std::string base = std::string(pair.family) + "/" +
-                                 models::task_name(task) + "/" + defense;
-        const fl::ExperimentOutcome st =
-            bench::timed(report, base + "/static", [&] {
-              return fl::run_experiment(config, pair.static_kind, zka,
-                                        scale.runs, baselines);
-            });
-        const fl::ExperimentOutcome tr =
-            bench::timed(report, base + "/trained", [&] {
-              return fl::run_experiment(config, pair.trained_kind, zka,
-                                        scale.runs, baselines);
-            });
-        report.add_metric(base + "/static", "asr", st.asr);
-        report.add_metric(base + "/static", "dpr", st.dpr);
-        report.add_metric(base + "/trained", "asr", tr.asr);
-        report.add_metric(base + "/trained", "dpr", tr.dpr);
+        const fl::ExperimentOutcome st = fl::run_experiment(
+            config, pair.static_kind, zka, scale.runs, baselines);
+        const fl::ExperimentOutcome tr = fl::run_experiment(
+            config, pair.trained_kind, zka, scale.runs, baselines);
         table.add_row({pair.family, models::task_name(task), defense,
                        util::Table::fmt(st.asr, 2), bench::fmt_or_na(st.dpr),
                        util::Table::fmt(tr.asr, 2),
@@ -62,6 +50,6 @@ int main(int argc, char** argv) {
   }
   table.print("\nTable IV — static (untrained) vs trained synthesis");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace zka;
   const util::CliArgs args(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
-  bench::BenchJson report = bench::make_report("table5", args, scale);
+  const bench::Trace trace(args);
 
   const fl::AttackKind attacks[] = {fl::AttackKind::kZkaR,
                                     fl::AttackKind::kZkaG};
@@ -33,16 +33,8 @@ int main(int argc, char** argv) {
         core::ZkaOptions zka =
             bench::default_zka_options(models::Task::kFashion);
         zka.classifier.lambda = lambda;
-        const std::string label = std::string(fl::attack_kind_name(attack)) +
-                                  "/" + defense +
-                                  "/lambda=" + util::Table::fmt(lambda, 1);
         const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, attack, zka, scale.runs,
-                                        baselines);
-            });
-        report.add_metric(label, "asr", outcome.asr);
-        report.add_metric(label, "dpr", outcome.dpr);
+            fl::run_experiment(config, attack, zka, scale.runs, baselines);
         table.add_row({fl::attack_kind_name(attack), defense,
                        util::Table::fmt(lambda, 1),
                        util::Table::fmt(outcome.asr, 2),
@@ -58,6 +50,6 @@ int main(int argc, char** argv) {
       "\nTable V — distance-regularizer ablation (Fashion; lambda=0 is "
       "'without regularization')");
   bench::maybe_write_csv(args, table);
-  bench::finish_report(report, args);
+  trace.write();
   return 0;
 }

@@ -8,7 +8,7 @@
 //   - ZKA_PROF compiled out (cmake -DZKA_PROF=OFF): the macros expand to
 //     nothing; instrumented code is bit-identical to uninstrumented code.
 //     The query API below still exists and returns empty data, so callers
-//     (bench emitters, tests) compile unchanged.
+//     (benches, tests) compile unchanged.
 //   - Compiled in, runtime-disabled (the default): every instrumentation
 //     point pays exactly one relaxed atomic load and one predictable
 //     branch. No clock read, no store.
@@ -136,7 +136,7 @@ void reset();
 /// The merged trace as a Chrome trace-event JSON object: "traceEvents"
 /// holds complete ("ph":"X") events in microseconds; "zkaCounters" and
 /// "zkaSummary" carry the counter and per-label aggregates (ignored by the
-/// viewers, consumed by the bench emitter and tools/bench_diff.py).
+/// viewers; read by people and scripts explaining a bench's `--trace`).
 std::string chrome_trace_json();
 
 /// Writes chrome_trace_json() to `path`; throws (ZKA_CHECK-style) when the
