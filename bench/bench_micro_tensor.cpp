@@ -1,10 +1,17 @@
 // Micro-benchmarks of the tensor kernels, including the DESIGN.md ablation
-// of im2col+GEMM convolution vs a naive 7-loop implementation.
+// of im2col+GEMM convolution vs a naive 7-loop implementation, and a
+// per-layer probe of the Cifar CNN (results/perf_breakdown.md).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "models/models.h"
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
 #include "tensor/ops.h"
+#include "util/prof.h"
 #include "util/rng.h"
 
 namespace {
@@ -111,7 +118,7 @@ void BM_ConvIm2ColGemm(benchmark::State& state) {
   nn::Conv2d conv(8, 16, 3, 1, 1, rng);
   const Tensor input = Tensor::uniform({1, 8, 16, 16}, rng, -1.0f, 1.0f);
   for (auto _ : state) {
-    Tensor out = conv.forward(input);
+    const Tensor& out = conv.forward(input);
     benchmark::DoNotOptimize(out.raw());
   }
 }
@@ -125,7 +132,7 @@ void BM_ConvForwardBatched(benchmark::State& state) {
   nn::Conv2d conv(8, 16, 3, 1, 1, rng);
   const Tensor input = Tensor::uniform({batch, 8, 16, 16}, rng, -1.0f, 1.0f);
   for (auto _ : state) {
-    Tensor out = conv.forward(input);
+    const Tensor& out = conv.forward(input);
     benchmark::DoNotOptimize(out.raw());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -140,7 +147,7 @@ void BM_ConvBackwardBatched(benchmark::State& state) {
   const Tensor out = conv.forward(input);
   for (auto _ : state) {
     conv.zero_grad();
-    Tensor gx = conv.backward(out);
+    const Tensor& gx = conv.backward(out);
     benchmark::DoNotOptimize(gx.raw());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -153,7 +160,7 @@ void BM_ConvTransposeForwardBatched(benchmark::State& state) {
   nn::ConvTranspose2d deconv(16, 8, 4, 2, 1, rng);
   const Tensor input = Tensor::uniform({batch, 16, 8, 8}, rng, -1.0f, 1.0f);
   for (auto _ : state) {
-    Tensor out = deconv.forward(input);
+    const Tensor& out = deconv.forward(input);
     benchmark::DoNotOptimize(out.raw());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -167,11 +174,56 @@ void BM_ConvBackward(benchmark::State& state) {
   const Tensor out = conv.forward(input);
   for (auto _ : state) {
     conv.zero_grad();
-    Tensor gx = conv.backward(out);
+    const Tensor& gx = conv.backward(out);
     benchmark::DoNotOptimize(gx.raw());
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// Per-layer probe of the Cifar CNN at batch 64: full training steps
+// (forward through every layer, backward through every layer), with each
+// layer's call timed inside the step, so the allocator sees the same
+// pattern as in client training. Counters are ms per step, named
+// fwd<i>_<layer> and bwd<i>_<layer>.
+void BM_CifarStepByLayer(benchmark::State& state) {
+  util::Rng rng(7);
+  const auto net = models::make_cifar_cnn(rng);
+  const auto spec = models::cifar_spec();
+  const Tensor x = Tensor::uniform(
+      {64, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
+  const Tensor g = Tensor::uniform({64, spec.num_classes}, rng, -0.01f, 0.01f);
+  const std::size_t n = net->size();
+  std::vector<double> fwd_ms(n, 0.0);
+  std::vector<double> bwd_ms(n, 0.0);
+  const auto ms_since = [](std::uint64_t t0) {
+    return static_cast<double>(util::prof::now_ns() - t0) * 1e-6;
+  };
+  for (auto _ : state) {
+    const Tensor* a = &x;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t t0 = util::prof::now_ns();
+      a = &net->layer(i).forward(*a);
+      fwd_ms[i] += ms_since(t0);
+    }
+    const Tensor* d = &g;
+    for (std::size_t i = n; i-- > 0;) {
+      const std::uint64_t t0 = util::prof::now_ns();
+      d = &net->layer(i).backward(*d);
+      bwd_ms[i] += ms_since(t0);
+    }
+    benchmark::DoNotOptimize(d->raw());
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    char layer[48];
+    std::snprintf(layer, sizeof layer, "%02zu_%s", i,
+                  net->layer(i).name().c_str());
+    state.counters[std::string("fwd") + layer] =
+        benchmark::Counter(fwd_ms[i], benchmark::Counter::kAvgIterations);
+    state.counters[std::string("bwd") + layer] =
+        benchmark::Counter(bwd_ms[i], benchmark::Counter::kAvgIterations);
+  }
+}
+BENCHMARK(BM_CifarStepByLayer)->Unit(benchmark::kMillisecond);
 
 void BM_TensorElementwiseAdd(benchmark::State& state) {
   util::Rng rng(5);

@@ -14,6 +14,10 @@
 #include <string>
 #include <vector>
 
+namespace zka::nn {
+class Sequential;
+}
+
 namespace zka::attack {
 
 using Update = std::vector<float>;
@@ -39,6 +43,12 @@ struct AttackContext {
   /// weight-blending attacker would mimic). 1 when no benign client was
   /// sampled. Input to Attack::reported_weight.
   std::int64_t benign_median_weight = 1;
+  /// A model of the task's architecture the attack may use as working
+  /// space: its parameters and buffers are overwritten, and the caller
+  /// reloads it before its own next use. The simulator lends the calling
+  /// thread's training replica, so crafting adds no model of its own.
+  /// Null when the caller has none to lend.
+  nn::Sequential* model_replica = nullptr;
 };
 
 class Attack {

@@ -23,15 +23,12 @@ Update LabelFlipAttack::craft(const AttackContext& ctx) {
   nn::Sgd optimizer(*model, {.learning_rate = options_.learning_rate});
   nn::SoftmaxCrossEntropy loss;
   data::DataLoader loader(dataset_, options_.batch_size);
+  data::Batch batch;
   for (std::int64_t epoch = 0; epoch < options_.local_epochs; ++epoch) {
     loader.shuffle(rng_);
     for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-      const data::Batch batch = loader.batch(b);
-      optimizer.zero_grad();
-      const tensor::Tensor logits = model->forward(batch.images);
-      loss.forward(logits, batch.labels);
-      model->backward(loss.backward());
-      optimizer.step();
+      loader.batch(b, batch);
+      nn::sgd_step(*model, optimizer, loss, batch.images, batch.labels);
     }
   }
   return nn::get_flat_params(*model);

@@ -27,6 +27,10 @@ std::vector<double> AdversarialTrainer::train(
   std::vector<std::int64_t> order(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
 
+  // Batch, label and regularizer buffers live across the whole call.
+  tensor::Tensor batch;
+  std::vector<std::int64_t> labels;
+  std::vector<float> reg_scratch;
   std::vector<double> epoch_losses;
   epoch_losses.reserve(static_cast<std::size_t>(options_.epochs));
   for (std::int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -38,15 +42,13 @@ std::vector<double> AdversarialTrainer::train(
       const std::int64_t end = std::min(begin + options_.batch_size, n);
       const std::span<const std::int64_t> rows(
           order.data() + begin, static_cast<std::size_t>(end - begin));
-      const tensor::Tensor batch = images.index_select0(rows);
-      const std::vector<std::int64_t> labels(
-          static_cast<std::size_t>(end - begin), decoy_label);
+      images.index_select0(rows, batch);
+      labels.assign(rows.size(), decoy_label);
 
       optimizer.zero_grad();
-      const tensor::Tensor logits = model.forward(batch);
-      double batch_loss = loss.forward(logits, labels);
+      double batch_loss = loss.forward(model.forward(batch), labels);
       model.backward(loss.backward());
-      batch_loss += regularizer_.apply(model, global, prev_global);
+      batch_loss += regularizer_.apply(model, global, prev_global, reg_scratch);
       optimizer.step();
 
       total += batch_loss;
@@ -56,6 +58,15 @@ std::vector<double> AdversarialTrainer::train(
                                        batches, 1)));
   }
   return epoch_losses;
+}
+
+nn::Sequential& working_classifier(const attack::AttackContext& ctx,
+                                   std::unique_ptr<nn::Sequential>& own,
+                                   const models::ModelFactory& factory,
+                                   std::uint64_t seed) {
+  if (ctx.model_replica != nullptr) return *ctx.model_replica;
+  if (!own) own = factory(seed);
+  return *own;
 }
 
 }  // namespace zka::core

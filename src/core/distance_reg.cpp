@@ -20,22 +20,30 @@ double DistanceRegularizer::value(std::span<const float> w,
 double DistanceRegularizer::apply(nn::Module& model,
                                   std::span<const float> global,
                                   std::span<const float> prev_global) const {
+  std::vector<float> scratch;
+  return apply(model, global, prev_global, scratch);
+}
+
+double DistanceRegularizer::apply(nn::Module& model,
+                                  std::span<const float> global,
+                                  std::span<const float> prev_global,
+                                  std::vector<float>& scratch) const {
   if (lambda_ == 0.0) return 0.0;
-  const std::vector<float> w = nn::get_flat_params(model);
+  std::vector<float>& w = scratch;
+  nn::get_flat_params(model, w);
   ZKA_CHECK(w.size() == global.size() && global.size() == prev_global.size(),
             "DistanceRegularizer: model=%zu, global=%zu, prev=%zu params",
             w.size(), global.size(), prev_global.size());
   const double dist = util::l2_distance(w, global);
   if (dist > 1e-12) {
-    std::vector<float> grad(w.size());
     const double scale = lambda_ / dist;
     for (std::size_t i = 0; i < w.size(); ++i) {
       // Subtract in float (the wire precision), then promote explicitly:
-      // the scale factor carries the double path.
-      grad[i] = static_cast<float>(scale *
-                                   static_cast<double>(w[i] - global[i]));
+      // the scale factor carries the double path. The gradient overwrites
+      // w in place; w[i] is read only here.
+      w[i] = static_cast<float>(scale * static_cast<double>(w[i] - global[i]));
     }
-    nn::add_to_flat_grads(model, grad);
+    nn::add_to_flat_grads(model, w);
   }
   return lambda_ * (dist - util::l2_distance(global, prev_global));
 }

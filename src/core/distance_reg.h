@@ -10,6 +10,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "nn/module.h"
 
@@ -28,6 +29,11 @@ class DistanceRegularizer {
   /// step(). No-op returning 0 when lambda == 0.
   double apply(nn::Module& model, std::span<const float> global,
                std::span<const float> prev_global) const;
+  /// Same, with the flat-parameter working vector in `scratch`, which a
+  /// training loop keeps so each step reuses its storage.
+  double apply(nn::Module& model, std::span<const float> global,
+               std::span<const float> prev_global,
+               std::vector<float>& scratch) const;
 
   double lambda() const noexcept { return lambda_; }
 

@@ -42,8 +42,10 @@ attack::Update ZkaGAttack::craft(const attack::AttackContext& ctx) {
   ZKA_PROF_SCOPE("zka_g/craft");
   attack::validate_context(*this, ctx);
 
-  auto classifier = factory_(rng_.split(0x7e0)());
-  nn::set_flat_params(*classifier, ctx.global_model);
+  // The seed is drawn even when no model is built (see ZKA-R).
+  nn::Sequential& classifier = working_classifier(
+      ctx, classifier_, factory_, rng_.split(0x7e0)());
+  nn::set_flat_params(classifier, ctx.global_model);
 
   const std::vector<std::int64_t> decoy_labels(
       static_cast<std::size_t>(options_.synthetic_size), decoy_label_);
@@ -56,13 +58,10 @@ attack::Update ZkaGAttack::craft(const attack::AttackContext& ctx) {
     for (std::int64_t epoch = 0; epoch < options_.synthesis_epochs; ++epoch) {
       ZKA_PROF_SCOPE("zka_g/generator_epoch");
       optimizer.zero_grad();
-      classifier->zero_grad();
-      const tensor::Tensor images = generator_->forward(latent_);
-      const tensor::Tensor logits = classifier->forward(images);
-      const double scaled = loss.forward(logits, decoy_labels);
-      const tensor::Tensor grad_images =
-          classifier->backward(loss.backward());
-      generator_->backward(grad_images);
+      classifier.zero_grad();
+      const double scaled = loss.forward(
+          classifier.forward(generator_->forward(latent_)), decoy_labels);
+      generator_->backward(classifier.backward(loss.backward()));
       optimizer.step();
       // Record the raw (positive) cross-entropy the attack is maximizing.
       loss_history_.push_back(-scaled);
@@ -72,13 +71,13 @@ attack::Update ZkaGAttack::craft(const attack::AttackContext& ctx) {
   last_images_ = generator_->forward(latent_);
 
   // Step 2: adversarial classifier training on (S, Ỹ) with L_d.
-  nn::set_flat_params(*classifier, ctx.global_model);
+  nn::set_flat_params(classifier, ctx.global_model);
   {
     ZKA_PROF_SCOPE("zka_g/classifier_train");
-    trainer_.train(*classifier, last_images_, decoy_label_, ctx.global_model,
+    trainer_.train(classifier, last_images_, decoy_label_, ctx.global_model,
                    ctx.prev_global_model, rng_);
   }
-  return nn::get_flat_params(*classifier);
+  return nn::get_flat_params(classifier);
 }
 
 }  // namespace zka::core

@@ -50,6 +50,9 @@ class ZkaGAttack : public attack::Attack {
   models::ImageSpec spec_;
   ZkaOptions options_;
   models::ModelFactory factory_;
+  // The working classifier when the caller lends no replica (see
+  // working_classifier); built by the first such craft.
+  std::unique_ptr<nn::Sequential> classifier_;
   AdversarialTrainer trainer_;
   util::Rng rng_;
   std::int64_t decoy_label_;

@@ -2,12 +2,22 @@
 
 #include <algorithm>
 
-#include "nn/loss.h"
-#include "nn/sgd.h"
 #include "util/check.h"
 #include "util/prof.h"
 
 namespace zka::core {
+
+double synthesis_epoch(nn::Module& filter, nn::Sgd& optimizer,
+                       nn::Module& classifier, nn::SoftmaxCrossEntropy& loss,
+                       const tensor::Tensor& a, const tensor::Tensor& target) {
+  optimizer.zero_grad();
+  classifier.zero_grad();
+  const double l = loss.forward(classifier.forward(filter.forward(a)), target);
+  // Backprop through the frozen classifier into the filter.
+  filter.backward(classifier.backward(loss.backward()));
+  optimizer.step();
+  return l;
+}
 
 ZkaRAttack::ZkaRAttack(models::Task task, ZkaOptions options,
                        std::uint64_t seed)
@@ -37,8 +47,11 @@ attack::Update ZkaRAttack::craft(const attack::AttackContext& ctx) {
             static_cast<long long>(options_.synthesis_epochs));
 
   // Frozen global classifier: parameters are loaded but never stepped.
-  auto classifier = factory_(rng_.split(0x5ea)());
-  nn::set_flat_params(*classifier, ctx.global_model);
+  // The seed is drawn even when no model is built: the synthesis below
+  // reads rng_ after this draw.
+  nn::Sequential& classifier = working_classifier(
+      ctx, classifier_, factory_, rng_.split(0x5ea)());
+  nn::set_flat_params(classifier, ctx.global_model);
 
   // Ambiguous soft target Y_D = [1/L, ..., 1/L] (per image, batch of 1).
   tensor::Tensor ambiguous({1, spec_.num_classes},
@@ -67,32 +80,25 @@ attack::Update ZkaRAttack::craft(const attack::AttackContext& ctx) {
     if (options_.train_synthesis) {
       for (std::int64_t epoch = 0; epoch < options_.synthesis_epochs;
            ++epoch) {
-        optimizer.zero_grad();
-        classifier->zero_grad();
-        const tensor::Tensor b = filter->forward(a);
-        const tensor::Tensor logits = classifier->forward(b);
-        const double l = loss.forward(logits, ambiguous);
-        // Backprop through the frozen classifier into the filter.
-        const tensor::Tensor grad_b = classifier->backward(loss.backward());
-        filter->backward(grad_b);
-        optimizer.step();
+        const double l = synthesis_epoch(*filter, optimizer, classifier, loss,
+                                         a, ambiguous);
         loss_history_[static_cast<std::size_t>(epoch)] +=
             l / static_cast<double>(s_count);
       }
     }
-    const tensor::Tensor b = filter->forward(a);
+    const tensor::Tensor& b = filter->forward(a);
     std::copy(b.data().begin(), b.data().end(),
               last_images_.data().begin() + s * plane);
   }
 
   // Step 2: adversarial classifier training on (S, Ỹ) with L_d.
-  nn::set_flat_params(*classifier, ctx.global_model);
+  nn::set_flat_params(classifier, ctx.global_model);
   {
     ZKA_PROF_SCOPE("zka_r/classifier_train");
-    trainer_.train(*classifier, last_images_, decoy_label_, ctx.global_model,
+    trainer_.train(classifier, last_images_, decoy_label_, ctx.global_model,
                    ctx.prev_global_model, rng_);
   }
-  return nn::get_flat_params(*classifier);
+  return nn::get_flat_params(classifier);
 }
 
 }  // namespace zka::core

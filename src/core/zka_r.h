@@ -15,9 +15,21 @@
 #include "core/zka_options.h"
 #include "data/dataset.h"
 #include "models/models.h"
+#include "nn/loss.h"
+#include "nn/sgd.h"
 #include "util/rng.h"
 
 namespace zka::core {
+
+/// One filter-training epoch of ZKA-R's synthesis: push the random image
+/// `a` through `filter` and the frozen `classifier`, take the cross-entropy
+/// against the soft `target`, backpropagate through the classifier into the
+/// filter and step the filter only (the classifier's gradients are zeroed,
+/// never applied). Returns the loss. Allocation-free once the three have
+/// seen the shapes.
+double synthesis_epoch(nn::Module& filter, nn::Sgd& optimizer,
+                       nn::Module& classifier, nn::SoftmaxCrossEntropy& loss,
+                       const tensor::Tensor& a, const tensor::Tensor& target);
 
 class ZkaRAttack : public attack::Attack {
  public:
@@ -50,6 +62,9 @@ class ZkaRAttack : public attack::Attack {
   models::ImageSpec spec_;
   ZkaOptions options_;
   models::ModelFactory factory_;
+  // The working classifier when the caller lends no replica (see
+  // working_classifier); built by the first such craft.
+  std::unique_ptr<nn::Sequential> classifier_;
   AdversarialTrainer trainer_;
   util::Rng rng_;
   std::int64_t decoy_label_;

@@ -38,21 +38,24 @@ std::int64_t DataLoader::num_batches() const noexcept {
 void DataLoader::shuffle(util::Rng& rng) { rng.shuffle(indices_); }
 
 Batch DataLoader::batch(std::int64_t b) const {
+  Batch out;
+  batch(b, out);
+  return out;
+}
+
+void DataLoader::batch(std::int64_t b, Batch& out) const {
   if (b < 0 || b >= num_batches()) {
     throw std::out_of_range("DataLoader::batch out of range");
   }
   const std::int64_t begin = b * batch_size_;
   const std::int64_t end = std::min<std::int64_t>(begin + batch_size_, size());
-  std::vector<std::int64_t> rows(
-      indices_.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices_.begin() + static_cast<std::ptrdiff_t>(end));
-  Batch out;
-  out.images = dataset_->images.index_select0(rows);
-  out.labels.reserve(rows.size());
-  for (const std::int64_t r : rows) {
-    out.labels.push_back(dataset_->labels[static_cast<std::size_t>(r)]);
+  const std::span<const std::int64_t> rows(
+      indices_.data() + begin, static_cast<std::size_t>(end - begin));
+  dataset_->images.index_select0(rows, out.images);
+  out.labels.resize(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out.labels[i] = dataset_->labels[static_cast<std::size_t>(rows[i])];
   }
-  return out;
 }
 
 }  // namespace zka::data

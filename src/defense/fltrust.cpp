@@ -31,14 +31,12 @@ void FlTrust::begin_round(std::span<const float> global_model,
   nn::Sgd optimizer(*model, {.learning_rate = options_.learning_rate});
   nn::SoftmaxCrossEntropy loss;
   data::DataLoader loader(root_, options_.batch_size);
+  data::Batch batch;
   for (std::int64_t epoch = 0; epoch < options_.local_epochs; ++epoch) {
     loader.shuffle(round_rng);
     for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-      const data::Batch batch = loader.batch(b);
-      optimizer.zero_grad();
-      loss.forward(model->forward(batch.images), batch.labels);
-      model->backward(loss.backward());
-      optimizer.step();
+      loader.batch(b, batch);
+      nn::sgd_step(*model, optimizer, loss, batch.images, batch.labels);
     }
   }
   server_update_ = nn::get_flat_params(*model);

@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/loader.h"
 #include "models/models.h"
+#include "nn/loss.h"
 
 namespace zka::fl {
 
@@ -13,6 +15,16 @@ struct ClientOptions {
   std::int64_t local_epochs = 1;  // the paper trains one local epoch
   std::int64_t batch_size = 32;
   float learning_rate = 0.05f;
+};
+
+/// What Client::train reuses from one call to the next: a model replica
+/// (built on first use) and the batch and loss buffers. A training thread
+/// that keeps one across clients and rounds trains allocation-free in
+/// steady state; it must not be shared by concurrent calls.
+struct TrainScratch {
+  std::unique_ptr<nn::Sequential> model;
+  data::Batch batch;
+  nn::SoftmaxCrossEntropy loss;
 };
 
 class Client {
@@ -27,6 +39,11 @@ class Client {
   /// multiple clients concurrently.
   std::vector<float> train(std::span<const float> global,
                            std::uint64_t seed) const;
+  /// Same result, written into `out`, training on `scratch`'s replica.
+  /// Every parameter is loaded from `global` first, so the replica's
+  /// previous contents never matter.
+  void train(std::span<const float> global, std::uint64_t seed,
+             TrainScratch& scratch, std::vector<float>& out) const;
 
   std::int64_t id() const noexcept { return id_; }
   std::int64_t num_samples() const noexcept {

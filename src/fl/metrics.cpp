@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "data/loader.h"
+#include "nn/loss.h"
 #include "util/check.h"
 
 namespace zka::fl {
@@ -21,25 +23,24 @@ double evaluate_accuracy(const models::ModelFactory& factory,
                          std::span<const float> params,
                          const data::Dataset& dataset,
                          std::int64_t batch_size) {
+  return evaluate_accuracy(*factory(0), params, dataset, batch_size);
+}
+
+double evaluate_accuracy(nn::Module& model, std::span<const float> params,
+                         const data::Dataset& dataset,
+                         std::int64_t batch_size) {
   ZKA_CHECK(batch_size > 0, "evaluate_accuracy: batch_size %lld",
             static_cast<long long>(batch_size));
-  auto model = factory(0);
-  nn::set_flat_params(*model, params);
-  const std::int64_t n = dataset.size();
-  if (n == 0) return 0.0;
+  nn::set_flat_params(model, params);
+  if (dataset.size() == 0) return 0.0;
+  const data::DataLoader loader(dataset, batch_size);  // dataset order
+  data::Batch batch;
   std::int64_t hits = 0;
-  for (std::int64_t begin = 0; begin < n; begin += batch_size) {
-    const std::int64_t end = std::min(begin + batch_size, n);
-    const tensor::Tensor batch = dataset.images.slice0(begin, end);
-    const auto preds = model->forward(batch).argmax_rows();
-    for (std::int64_t i = begin; i < end; ++i) {
-      if (preds[static_cast<std::size_t>(i - begin)] ==
-          dataset.labels[static_cast<std::size_t>(i)]) {
-        ++hits;
-      }
-    }
+  for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
+    loader.batch(b, batch);
+    hits += nn::correct_predictions(model.forward(batch.images), batch.labels);
   }
-  return static_cast<double>(hits) / static_cast<double>(n);
+  return static_cast<double>(hits) / static_cast<double>(dataset.size());
 }
 
 }  // namespace zka::fl

@@ -26,4 +26,11 @@ double evaluate_accuracy(const models::ModelFactory& factory,
                          const data::Dataset& dataset,
                          std::int64_t batch_size = 64);
 
+/// Same, on a model the caller keeps (e.g. a training replica): `params`
+/// is loaded into it, and its layer buffers are reused across batches and
+/// calls.
+double evaluate_accuracy(nn::Module& model, std::span<const float> params,
+                         const data::Dataset& dataset,
+                         std::int64_t batch_size = 64);
+
 }  // namespace zka::fl

@@ -136,8 +136,17 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   // clear()/resize(): every vector here is bounded by clients_per_round,
   // which is fixed for the run, so one reserve covers all rounds and the
   // loop body itself allocates nothing. The per-client Update buffers are
-  // reused training slots (wave_updates) and the attack's crafted buffer;
-  // each client's model and scratch are still built per call.
+  // reused training slots (wave_updates) and the attack's crafted buffer.
+  // Models are reused too: one training replica per pool participant, each
+  // built by the first client it trains, so none exists before the first
+  // round. The thread calling run() also crafts and evaluates on its own.
+  util::ThreadPool& pool = util::global_thread_pool();
+  std::vector<TrainScratch> replicas(pool.size() + 1);
+  const auto caller_model = [&]() -> nn::Sequential& {
+    TrainScratch& mine = replicas[pool.participant_index()];
+    if (!mine.model) mine.model = factory_(0);
+    return *mine.model;
+  };
   const std::size_t round_k =
       static_cast<std::size_t>(config_.clients_per_round);
   std::vector<std::size_t> benign_ids;
@@ -234,11 +243,11 @@ SimulationResult Simulation::run(attack::Attack* attack) {
               config_.seed * 0x9e3779b97f4a7c15ULL +
               static_cast<std::uint64_t>(round) * 1315423911ULL +
               static_cast<std::uint64_t>(client.id());
-          wave_updates[k] = client.train(global, seed);
+          client.train(global, seed, replicas[pool.participant_index()],
+                       wave_updates[k]);
         };
         if (config_.parallel_clients) {
-          util::global_thread_pool().parallel_for(wave_benign.size(),
-                                                  train_one);
+          pool.parallel_for(wave_benign.size(), train_one);
         } else {
           for (std::size_t k = 0; k < wave_benign.size(); ++k) train_one(k);
         }
@@ -281,6 +290,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
       ctx.num_malicious_selected = static_cast<std::int64_t>(malicious_sampled);
       ctx.learning_rate = config_.client.learning_rate;
       ctx.benign_median_weight = benign_median;
+      ctx.model_replica = &caller_model();
       malicious_update = attack->craft(ctx);
       ZKA_CHECK(malicious_update.size() == global.size(),
                 "%s crafted %zu params, model has %zu", attack->name().c_str(),
@@ -352,7 +362,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
     if (config_.eval_every > 0 &&
         (round % config_.eval_every == 0 || round + 1 == config_.rounds)) {
       ZKA_PROF_SCOPE("eval");
-      record.accuracy = evaluate_accuracy(factory_, global, test_);
+      record.accuracy = evaluate_accuracy(caller_model(), global, test_);
       // max_accuracy starts NaN (nothing evaluated yet); std::max would
       // propagate the NaN forever, so seed it from the first evaluation.
       result.max_accuracy = std::isnan(result.max_accuracy)

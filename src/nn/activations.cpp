@@ -7,76 +7,79 @@
 namespace zka::nn {
 
 namespace {
-void check_grad_shape(const Tensor& cached, const Tensor& grad,
-                      const char* layer) {
-  ZKA_CHECK(cached.same_shape(grad), "%s backward: grad shape %s vs %s",
-            layer, tensor::shape_to_string(grad.shape()).c_str(),
-            tensor::shape_to_string(cached.shape()).c_str());
+
+// Writes f(x) for every input element into `out`.
+template <typename F>
+const Tensor& map_forward(const Tensor& input, Tensor& out, F f) {
+  out.resize(input.shape());
+  const float* x = input.raw();
+  float* y = out.raw();
+  for (std::int64_t i = 0; i < input.numel(); ++i) y[i] = f(x[i]);
+  return out;
 }
+
+// Overwrites the cached output y with g(y, dy), the input gradient.
+template <typename G>
+const Tensor& map_backward(Tensor& buf, const Tensor& grad, const char* layer,
+                           G g) {
+  ZKA_CHECK(buf.same_shape(grad), "%s backward: grad shape %s vs %s", layer,
+            tensor::shape_to_string(grad.shape()).c_str(),
+            tensor::shape_to_string(buf.shape()).c_str());
+  const float* dy = grad.raw();
+  float* y = buf.raw();
+  for (std::int64_t i = 0; i < buf.numel(); ++i) y[i] = g(y[i], dy[i]);
+  return buf;
+}
+
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
-  Tensor out = input;
-  for (auto& x : out.data()) x = x > 0.0f ? x : 0.0f;
-  return out;
+const Tensor& ReLU::forward(const Tensor& input) {
+  return map_forward(input, buf_, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
-  check_grad_shape(cached_input_, grad_output, "ReLU");
-  Tensor grad = grad_output;
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
-    if (cached_input_[i] <= 0.0f) grad[i] = 0.0f;
-  }
-  return grad;
+const Tensor& ReLU::backward(const Tensor& grad_output) {
+  return map_backward(buf_, grad_output, "ReLU", [](float y, float dy) {
+    return y > 0.0f ? dy : 0.0f;
+  });
 }
 
-Tensor LeakyReLU::forward(const Tensor& input) {
-  cached_input_ = input;
-  Tensor out = input;
-  for (auto& x : out.data()) x = x > 0.0f ? x : slope_ * x;
-  return out;
+LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
+  ZKA_CHECK(slope > 0.0f, "LeakyReLU: slope %g must be positive",
+            static_cast<double>(slope));
 }
 
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  check_grad_shape(cached_input_, grad_output, "LeakyReLU");
-  Tensor grad = grad_output;
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
-    if (cached_input_[i] <= 0.0f) grad[i] *= slope_;
-  }
-  return grad;
+const Tensor& LeakyReLU::forward(const Tensor& input) {
+  return map_forward(input, buf_, [s = slope_](float x) {
+    return x > 0.0f ? x : s * x;
+  });
 }
 
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (auto& x : out.data()) x = std::tanh(x);
-  cached_output_ = out;
-  return out;
+const Tensor& LeakyReLU::backward(const Tensor& grad_output) {
+  return map_backward(buf_, grad_output, "LeakyReLU",
+                      [s = slope_](float y, float dy) {
+                        return y <= 0.0f ? dy * s : dy;
+                      });
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-  check_grad_shape(cached_output_, grad_output, "Tanh");
-  Tensor grad = grad_output;
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
-    grad[i] *= 1.0f - cached_output_[i] * cached_output_[i];
-  }
-  return grad;
+const Tensor& Tanh::forward(const Tensor& input) {
+  return map_forward(input, buf_, [](float x) { return std::tanh(x); });
 }
 
-Tensor Sigmoid::forward(const Tensor& input) {
-  Tensor out = input;
-  for (auto& x : out.data()) x = 1.0f / (1.0f + std::exp(-x));
-  cached_output_ = out;
-  return out;
+const Tensor& Tanh::backward(const Tensor& grad_output) {
+  return map_backward(buf_, grad_output, "Tanh", [](float y, float dy) {
+    return dy * (1.0f - y * y);
+  });
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  check_grad_shape(cached_output_, grad_output, "Sigmoid");
-  Tensor grad = grad_output;
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
-    grad[i] *= cached_output_[i] * (1.0f - cached_output_[i]);
-  }
-  return grad;
+const Tensor& Sigmoid::forward(const Tensor& input) {
+  return map_forward(input, buf_,
+                     [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+}
+
+const Tensor& Sigmoid::backward(const Tensor& grad_output) {
+  return map_backward(buf_, grad_output, "Sigmoid", [](float y, float dy) {
+    return dy * (y * (1.0f - y));
+  });
 }
 
 }  // namespace zka::nn

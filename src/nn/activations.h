@@ -1,4 +1,7 @@
-// Elementwise activations; each caches what its derivative needs.
+// Elementwise activations. Each writes its output into one buffer it owns
+// and takes its derivative from that output alone, so backward() rewrites
+// the same buffer into the input gradient: one buffer per layer, no copy
+// of the input.
 #pragma once
 
 #include "nn/module.h"
@@ -7,44 +10,48 @@ namespace zka::nn {
 
 class ReLU : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  /// Masks by the output (> 0 exactly where the input was > 0; a NaN input
+  /// maps to 0 and blocks its gradient).
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
+  Tensor buf_;  // output after forward, input gradient after backward
 };
 
 class LeakyReLU : public Module {
  public:
-  explicit LeakyReLU(float slope = 0.2f) : slope_(slope) {}
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// `slope` must be positive, so the output's sign is the input's and
+  /// backward can mask by the output.
+  explicit LeakyReLU(float slope = 0.2f);
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "LeakyReLU"; }
 
  private:
   float slope_;
-  Tensor cached_input_;
+  Tensor buf_;
 };
 
 class Tanh : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor cached_output_;
+  Tensor buf_;
 };
 
 class Sigmoid : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Sigmoid"; }
 
  private:
-  Tensor cached_output_;
+  Tensor buf_;
 };
 
 }  // namespace zka::nn

@@ -20,9 +20,9 @@ class Conv2d : public Module {
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
          util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
+  std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "Conv2d"; }
 
   std::int64_t in_channels() const noexcept { return in_channels_; }
@@ -37,17 +37,18 @@ class Conv2d : public Module {
   std::int64_t pad_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  Parameter* params_[2] = {&weight_, &bias_};
+  std::int64_t batch_ = -1;  // N of the last forward; -1 before any
   tensor::ConvGeometry geometry_{};
-  // Scratch arenas reused across forward/backward calls so the whole batch
-  // is lowered and multiplied in one GEMM without per-call allocation.
-  // col_:  [patch, N*OH*OW] im2col of the cached input (forward, reused by
-  //        the weight-gradient GEMM in backward).
-  // buf_:  [OC, N*OH*OW] GEMM output (forward) / gathered dY (backward).
-  // gcol_: [patch, N*OH*OW] column-space input gradient (backward).
+  // col_: [patch, N*OH*OW] im2col of the input (forward), read by the
+  //       weight-gradient GEMM in backward and then overwritten with the
+  //       column-space input gradient Wᵀ@dY. Backward therefore needs only
+  //       col_ and the input shape, never the input itself. The whole
+  //       batch is lowered and multiplied in one GEMM.
+  // The [OC, N*OH*OW] GEMM output (forward) / gathered dY (backward) lives
+  // only within one call, so one per-thread buffer serves every Conv2d.
   std::vector<float> col_;
-  std::vector<float> buf_;
-  std::vector<float> gcol_;
+  Tensor act_;  // output after forward, input gradient after backward
 };
 
 }  // namespace zka::nn

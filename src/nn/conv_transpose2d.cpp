@@ -27,12 +27,11 @@ ConvTranspose2d::ConvTranspose2d(std::int64_t in_channels,
   }
 }
 
-Tensor ConvTranspose2d::forward(const Tensor& input) {
+const Tensor& ConvTranspose2d::forward(const Tensor& input) {
   ZKA_CHECK(input.rank() == 4 && input.dim(1) == in_channels_,
             "ConvTranspose2d: expected [N, %lld, H, W], got %s",
             static_cast<long long>(in_channels_),
             tensor::shape_to_string(input.shape()).c_str());
-  cached_input_ = input;
   const std::int64_t n = input.dim(0);
   const std::int64_t h = input.dim(2);
   const std::int64_t w = input.dim(3);
@@ -43,6 +42,9 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
             static_cast<long long>(oh), static_cast<long long>(ow),
             tensor::shape_to_string(input.shape()).c_str());
   geometry_ = tensor::ConvGeometry{out_channels_, oh, ow, kernel_, stride_, pad_};
+  batch_ = n;
+  in_h_ = h;
+  in_w_ = w;
   const std::int64_t spatial_in = h * w;
   const std::int64_t spatial_out = oh * ow;
   const std::int64_t cols = n * spatial_in;
@@ -66,34 +68,35 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
   col_.resize(static_cast<std::size_t>(patch * cols));
   tensor::gemm_at_b(patch, cols, in_channels_, 1.0f, weight_.value.raw(),
                     xperm_.data(), 0.0f, col_.data());
-  Tensor out({n, out_channels_, oh, ow});
-  tensor::col2im_batched(geometry_, col_.data(), n, out.raw());
+  act_.resize({n, out_channels_, oh, ow});
+  act_.fill(0.0f);
+  tensor::col2im_batched(geometry_, col_.data(), n, act_.raw());
   for (std::int64_t s = 0; s < n; ++s) {
     // Bias add over the scattered output planes
-    float* dst = out.raw() + s * out_channels_ * spatial_out;
+    float* dst = act_.raw() + s * out_channels_ * spatial_out;
     for (std::int64_t c = 0; c < out_channels_; ++c) {
       const float b = bias_.value[c];
       float* plane = dst + c * spatial_out;
       for (std::int64_t i = 0; i < spatial_out; ++i) plane[i] += b;
     }
   }
-  return out;
+  return act_;
 }
 
-Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
-  ZKA_CHECK(cached_input_.rank() == 4,
-            "ConvTranspose2d::backward before forward");
-  const std::int64_t n = cached_input_.dim(0);
-  const std::int64_t h = cached_input_.dim(2);
-  const std::int64_t w = cached_input_.dim(3);
-  const std::int64_t spatial_in = h * w;
+const Tensor& ConvTranspose2d::backward(const Tensor& grad_output) {
+  ZKA_CHECK(batch_ >= 0, "ConvTranspose2d::backward before forward");
+  const std::int64_t n = batch_;
+  const std::int64_t spatial_in = in_h_ * in_w_;
   const std::int64_t spatial_out = geometry_.in_h * geometry_.in_w;
   const std::int64_t cols = n * spatial_in;
   const std::int64_t patch = geometry_.patch_size();
-  ZKA_CHECK_SHAPE(
-      grad_output.shape(),
-      (tensor::Shape{n, out_channels_, geometry_.in_h, geometry_.in_w}),
-      "ConvTranspose2d backward grad");
+  ZKA_CHECK(
+      grad_output.has_shape({n, out_channels_, geometry_.in_h, geometry_.in_w}),
+      "ConvTranspose2d backward: grad %s, want [%lld, %lld, %lld, %lld]",
+      tensor::shape_to_string(grad_output.shape()).c_str(),
+      static_cast<long long>(n), static_cast<long long>(out_channels_),
+      static_cast<long long>(geometry_.in_h),
+      static_cast<long long>(geometry_.in_w));
 
   // Gather the output gradient into columns (adjoint of forward's scatter),
   // all samples at once; col_ is free to reuse after forward.
@@ -120,17 +123,17 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   buf_.resize(static_cast<std::size_t>(in_channels_ * cols));
   tensor::gemm(in_channels_, cols, patch, 1.0f, weight_.value.raw(),
                col_.data(), 0.0f, buf_.data());
-  Tensor grad_input(cached_input_.shape());
+  act_.resize({n, in_channels_, in_h_, in_w_});
   for (std::int64_t s = 0; s < n; ++s) {
     // Un-permute of the GEMM result into NCHW
-    float* dst = grad_input.raw() + s * in_channels_ * spatial_in;
+    float* dst = act_.raw() + s * in_channels_ * spatial_in;
     for (std::int64_t c = 0; c < in_channels_; ++c) {
       std::memcpy(dst + c * spatial_in,
                   buf_.data() + c * cols + s * spatial_in,
                   static_cast<std::size_t>(spatial_in) * sizeof(float));
     }
   }
-  return grad_input;
+  return act_;
 }
 
 }  // namespace zka::nn

@@ -25,9 +25,9 @@ class ConvTranspose2d : public Module {
                   std::int64_t kernel, std::int64_t stride, std::int64_t pad,
                   util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
+  std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "ConvTranspose2d"; }
 
  private:
@@ -38,7 +38,11 @@ class ConvTranspose2d : public Module {
   std::int64_t pad_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  Parameter* params_[2] = {&weight_, &bias_};
+  // Input extents of the last forward; batch_ is -1 before any.
+  std::int64_t batch_ = -1;
+  std::int64_t in_h_ = 0;
+  std::int64_t in_w_ = 0;
   // Geometry of the *equivalent forward conv* that maps the transposed
   // conv's output back to its input: in_channels = out_channels_ here.
   tensor::ConvGeometry geometry_{};
@@ -52,6 +56,7 @@ class ConvTranspose2d : public Module {
   std::vector<float> xperm_;
   std::vector<float> col_;
   std::vector<float> buf_;
+  Tensor act_;  // output after forward, input gradient after backward
 };
 
 }  // namespace zka::nn

@@ -14,9 +14,10 @@ class Linear : public Module {
   /// He-uniform initialized weights [out_features, in_features], zero bias.
   Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+  const Tensor& forward(const Tensor& input) override;
+  /// Reads the forward input for dW (borrowed, see Module::forward).
+  const Tensor& backward(const Tensor& grad_output) override;
+  std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "Linear"; }
 
   std::int64_t in_features() const noexcept { return in_features_; }
@@ -27,7 +28,9 @@ class Linear : public Module {
   std::int64_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  Parameter* params_[2] = {&weight_, &bias_};
+  const Tensor* input_ = nullptr;  // the last forward's input, borrowed
+  Tensor act_;  // output after forward, input gradient after backward
 };
 
 }  // namespace zka::nn

@@ -8,11 +8,17 @@
 namespace zka::nn {
 
 Tensor softmax_rows(const Tensor& logits) {
+  Tensor probs;
+  softmax_rows(logits, probs);
+  return probs;
+}
+
+void softmax_rows(const Tensor& logits, Tensor& probs) {
   ZKA_CHECK(logits.rank() == 2, "softmax_rows requires rank-2 logits, got %s",
             tensor::shape_to_string(logits.shape()).c_str());
   const std::int64_t n = logits.dim(0);
   const std::int64_t l = logits.dim(1);
-  Tensor probs(logits.shape());
+  probs.resize(logits.shape());
   for (std::int64_t i = 0; i < n; ++i) {
     const auto in = logits.data().subspan(static_cast<std::size_t>(i * l),
                                           static_cast<std::size_t>(l));
@@ -27,7 +33,6 @@ Tensor softmax_rows(const Tensor& logits) {
     const float inv = static_cast<float>(1.0 / sum);
     for (std::int64_t j = 0; j < l; ++j) out[j] *= inv;
   }
-  return probs;
 }
 
 double SoftmaxCrossEntropy::forward(const Tensor& logits,
@@ -37,22 +42,27 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits,
             "SoftmaxCrossEntropy: logits %s vs %zu labels",
             tensor::shape_to_string(logits.shape()).c_str(), labels.size());
   const std::int64_t l = logits.dim(1);
-  Tensor targets(logits.shape());
+  targets_.resize(logits.shape());
+  targets_.fill(0.0f);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     ZKA_CHECK(labels[i] >= 0 && labels[i] < l,
               "SoftmaxCrossEntropy: label %lld out of [0, %lld)",
               static_cast<long long>(labels[i]), static_cast<long long>(l));
-    targets[static_cast<std::int64_t>(i) * l + labels[i]] = 1.0f;
+    targets_[static_cast<std::int64_t>(i) * l + labels[i]] = 1.0f;
   }
-  return forward(logits, targets);
+  return evaluate(logits);
 }
 
 double SoftmaxCrossEntropy::forward(const Tensor& logits,
                                     const Tensor& soft_targets) {
   ZKA_CHECK_SHAPE(soft_targets.shape(), logits.shape(),
                   "SoftmaxCrossEntropy targets");
-  probs_ = softmax_rows(logits);
   targets_ = soft_targets;
+  return evaluate(logits);
+}
+
+double SoftmaxCrossEntropy::evaluate(const Tensor& logits) {
+  softmax_rows(logits, probs_);
   const std::int64_t n = logits.dim(0);
   double loss = 0.0;
   for (std::int64_t i = 0; i < probs_.numel(); ++i) {
@@ -65,24 +75,35 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits,
          static_cast<double>(std::max<std::int64_t>(n, 1));
 }
 
-Tensor SoftmaxCrossEntropy::backward() const {
+const Tensor& SoftmaxCrossEntropy::backward() {
   ZKA_CHECK(probs_.numel() > 0,
             "SoftmaxCrossEntropy::backward before forward");
   const std::int64_t n = probs_.dim(0);
-  Tensor grad = probs_;
-  grad -= targets_;
-  grad *= scale_ / static_cast<float>(std::max<std::int64_t>(n, 1));
-  return grad;
+  grad_ = probs_;
+  grad_ -= targets_;
+  grad_ *= scale_ / static_cast<float>(std::max<std::int64_t>(n, 1));
+  return grad_;
+}
+
+std::int64_t correct_predictions(const Tensor& logits,
+                                 std::span<const std::int64_t> labels) {
+  ZKA_CHECK(logits.rank() == 2 &&
+                logits.dim(0) == static_cast<std::int64_t>(labels.size()),
+            "correct_predictions: logits %s vs %zu labels",
+            tensor::shape_to_string(logits.shape()).c_str(), labels.size());
+  const std::int64_t cols = logits.dim(1);
+  std::int64_t hits = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const float* row = logits.raw() + static_cast<std::int64_t>(i) * cols;
+    hits += std::max_element(row, row + cols) - row == labels[i] ? 1 : 0;
+  }
+  return hits;
 }
 
 double accuracy(const Tensor& logits, std::span<const std::int64_t> labels) {
   if (labels.empty()) return 0.0;
-  const auto preds = logits.argmax_rows();
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (preds[i] == labels[i]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(labels.size());
+  return static_cast<double>(correct_predictions(logits, labels)) /
+         static_cast<double>(labels.size());
 }
 
 }  // namespace zka::nn

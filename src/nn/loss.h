@@ -15,6 +15,8 @@ using tensor::Tensor;
 
 /// Row-wise numerically stable softmax of rank-2 logits.
 Tensor softmax_rows(const Tensor& logits);
+/// Same, into `probs` (resized in place).
+void softmax_rows(const Tensor& logits, Tensor& probs);
 
 class SoftmaxCrossEntropy {
  public:
@@ -29,8 +31,9 @@ class SoftmaxCrossEntropy {
   double forward(const Tensor& logits, const Tensor& soft_targets);
 
   /// Gradient w.r.t. the logits of the last forward call:
-  /// scale * (softmax - target) / N.
-  Tensor backward() const;
+  /// scale * (softmax - target) / N. The reference is to a buffer this
+  /// loss owns, valid until its next forward() or backward().
+  const Tensor& backward();
 
   /// Softmax probabilities from the last forward call.
   const Tensor& probabilities() const noexcept { return probs_; }
@@ -39,10 +42,19 @@ class SoftmaxCrossEntropy {
   void set_scale(float scale) noexcept { scale_ = scale; }
 
  private:
+  /// The loss of the current targets_ against `logits`; fills probs_.
+  double evaluate(const Tensor& logits);
+
   float scale_;
+  // Reused across calls, so a steady-state step allocates nothing.
   Tensor probs_;
   Tensor targets_;
+  Tensor grad_;
 };
+
+/// Number of rows whose argmax (first on ties) equals the label.
+std::int64_t correct_predictions(const Tensor& logits,
+                                 std::span<const std::int64_t> labels);
 
 /// Fraction of rows whose argmax equals the label.
 double accuracy(const Tensor& logits, std::span<const std::int64_t> labels);

@@ -14,12 +14,16 @@ std::int64_t num_params(Module& module) {
 
 std::vector<float> get_flat_params(Module& module) {
   std::vector<float> flat;
-  flat.reserve(static_cast<std::size_t>(num_params(module)));
-  for (const Parameter* p : module.parameters()) {
-    const auto data = p->value.data();
-    flat.insert(flat.end(), data.begin(), data.end());
-  }
+  get_flat_params(module, flat);
   return flat;
+}
+
+void get_flat_params(Module& module, std::vector<float>& out) {
+  out.resize(static_cast<std::size_t>(num_params(module)));
+  auto dst = out.begin();
+  for (const Parameter* p : module.parameters()) {
+    dst = std::copy(p->value.data().begin(), p->value.data().end(), dst);
+  }
 }
 
 void set_flat_params(Module& module, std::span<const float> flat) {

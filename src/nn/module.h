@@ -7,9 +7,15 @@
 // backpropagate through a *frozen* global classifier into a trainable
 // filter layer (ZKA-R) or generator (ZKA-G) by simply not stepping the
 // classifier's parameters.
+//
+// Buffers: every layer owns its output and input-gradient buffers and
+// resizes them in place, so a module that has seen a batch shape once
+// runs forward/backward on it again without allocating. The price is a
+// borrowing contract, spelled out on forward() and backward() below.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,18 +35,32 @@ struct Parameter {
 
 class Module {
  public:
+  Module() = default;
   virtual ~Module() = default;
+  // Layers hand out pointers to their own members (parameters(), cached
+  // inputs), so a copy would alias the original.
+  Module(const Module&) = delete;
+  Module& operator=(const Module&) = delete;
 
   /// Computes the output and caches whatever backward() will need.
-  virtual Tensor forward(const Tensor& input) = 0;
+  ///
+  /// The returned reference points into a buffer this module owns. It stays
+  /// valid until the next forward() or backward() on this module; a caller
+  /// that keeps the result longer must copy it. `input` is borrowed too:
+  /// it must stay alive and unchanged until backward() returns (Linear
+  /// reads it there instead of keeping a copy).
+  virtual const Tensor& forward(const Tensor& input) = 0;
 
   /// Accumulates parameter gradients (+=) and returns dLoss/dInput.
   /// Must be called after forward() with a grad of the forward output's
   /// shape. Valid to call multiple times only after another forward().
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// The returned reference follows forward()'s rule, and a backward() may
+  /// reuse the storage of this module's forward output.
+  virtual const Tensor& backward(const Tensor& grad_output) = 0;
 
   /// Learnable parameters in a stable order (empty for stateless layers).
-  virtual std::vector<Parameter*> parameters() { return {}; }
+  /// A view of pointers the module keeps, so walking it never allocates.
+  virtual std::span<Parameter* const> parameters() { return {}; }
 
   virtual std::string name() const = 0;
 
@@ -56,6 +76,8 @@ std::int64_t num_params(Module& module);
 /// Concatenates all parameter values into one flat vector. This is the FL
 /// wire format: clients exchange flat vectors, defenses operate on them.
 std::vector<float> get_flat_params(Module& module);
+/// Same, into `out` (resized; its storage is reused when large enough).
+void get_flat_params(Module& module, std::vector<float>& out);
 
 /// Loads a flat vector produced by get_flat_params back into the module.
 /// Throws std::invalid_argument on size mismatch.

@@ -1,5 +1,7 @@
 #include "nn/pooling.h"
 
+#include <limits>
+
 #include "util/check.h"
 
 namespace zka::nn {
@@ -11,8 +13,11 @@ MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride)
             static_cast<long long>(kernel_), static_cast<long long>(stride_));
 }
 
-Tensor MaxPool2d::forward(const Tensor& input) {
+const Tensor& MaxPool2d::forward(const Tensor& input) {
   ZKA_CHECK(input.rank() == 4, "MaxPool2d: expected NCHW input, got %s",
+            tensor::shape_to_string(input.shape()).c_str());
+  ZKA_CHECK(input.numel() <= std::numeric_limits<std::int32_t>::max(),
+            "MaxPool2d: input %s too large for 32-bit argmax indices",
             tensor::shape_to_string(input.shape()).c_str());
   input_shape_ = input.shape();
   const std::int64_t n = input.dim(0);
@@ -24,8 +29,8 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   ZKA_CHECK(oh > 0 && ow > 0, "MaxPool2d: window %lld larger than input %s",
             static_cast<long long>(kernel_),
             tensor::shape_to_string(input.shape()).c_str());
-  Tensor out({n, c, oh, ow});
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+  act_.resize({n, c, oh, ow});
+  argmax_.resize(static_cast<std::size_t>(act_.numel()));
   std::int64_t o = 0;
   for (std::int64_t s = 0; s < n; ++s) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
@@ -48,24 +53,30 @@ Tensor MaxPool2d::forward(const Tensor& input) {
               }
             }
           }
-          out[o] = best;
-          argmax_[static_cast<std::size_t>(o)] = plane_off + best_idx;
+          act_[o] = best;
+          argmax_[static_cast<std::size_t>(o)] =
+              static_cast<std::int32_t>(plane_off + best_idx);
         }
       }
     }
   }
-  return out;
+  return act_;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+const Tensor& MaxPool2d::backward(const Tensor& grad_output) {
   ZKA_CHECK(grad_output.numel() == static_cast<std::int64_t>(argmax_.size()),
             "MaxPool2d backward: grad numel %lld != %zu",
             static_cast<long long>(grad_output.numel()), argmax_.size());
-  Tensor grad_input(input_shape_);
+  ZKA_CHECK(&grad_output != &act_,
+            "MaxPool2d: grad aliases the layer's own output");
+  // Overlapping windows can route several outputs to one input, so the
+  // scatter accumulates into a zeroed buffer.
+  act_.resize(input_shape_);
+  act_.fill(0.0f);
   for (std::size_t o = 0; o < argmax_.size(); ++o) {
-    grad_input[argmax_[o]] += grad_output[static_cast<std::int64_t>(o)];
+    act_[argmax_[o]] += grad_output[static_cast<std::int64_t>(o)];
   }
-  return grad_input;
+  return act_;
 }
 
 }  // namespace zka::nn

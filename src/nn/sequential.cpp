@@ -3,30 +3,24 @@
 namespace zka::nn {
 
 Module& Sequential::add(std::unique_ptr<Module> layer) {
+  const auto params = layer->parameters();
+  params_.insert(params_.end(), params.begin(), params.end());
   layers_.push_back(std::move(layer));
   return *layers_.back();
 }
 
-Tensor Sequential::forward(const Tensor& input) {
-  Tensor x = input;
-  for (const auto& layer : layers_) x = layer->forward(x);
-  return x;
+const Tensor& Sequential::forward(const Tensor& input) {
+  const Tensor* x = &input;
+  for (const auto& layer : layers_) x = &layer->forward(*x);
+  return *x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
+const Tensor& Sequential::backward(const Tensor& grad_output) {
+  const Tensor* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = &(*it)->backward(*g);
   }
-  return g;
-}
-
-std::vector<Parameter*> Sequential::parameters() {
-  std::vector<Parameter*> params;
-  for (const auto& layer : layers_) {
-    for (Parameter* p : layer->parameters()) params.push_back(p);
-  }
-  return params;
+  return *g;
 }
 
 }  // namespace zka::nn

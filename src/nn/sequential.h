@@ -12,6 +12,8 @@ class Sequential : public Module {
   Sequential() = default;
 
   /// Appends a layer and returns a reference for optional further wiring.
+  /// The layer's parameters are collected here: a nested Sequential must
+  /// be complete when it is added.
   Module& add(std::unique_ptr<Module> layer);
 
   template <typename Layer, typename... Args>
@@ -22,9 +24,12 @@ class Sequential : public Module {
     return ref;
   }
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> parameters() override;
+  /// Chains the layers by reference: each layer reads the previous one's
+  /// buffer, and the result is the last layer's (the input itself when
+  /// there are no layers).
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
+  std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "Sequential"; }
 
   std::size_t size() const noexcept { return layers_.size(); }
@@ -32,6 +37,7 @@ class Sequential : public Module {
 
  private:
   std::vector<std::unique_ptr<Module>> layers_;
+  std::vector<Parameter*> params_;  // every layer's, in layer order
 };
 
 }  // namespace zka::nn

@@ -41,4 +41,13 @@ void Sgd::zero_grad() {
   for (Parameter* p : params_) p->grad.fill(0.0f);
 }
 
+double sgd_step(Module& model, Sgd& optimizer, SoftmaxCrossEntropy& loss,
+                const Tensor& images, std::span<const std::int64_t> labels) {
+  optimizer.zero_grad();
+  const double value = loss.forward(model.forward(images), labels);
+  model.backward(loss.backward());
+  optimizer.step();
+  return value;
+}
+
 }  // namespace zka::nn

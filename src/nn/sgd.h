@@ -1,8 +1,10 @@
 // Stochastic gradient descent with optional momentum and weight decay.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "nn/loss.h"
 #include "nn/module.h"
 
 namespace zka::nn {
@@ -17,7 +19,9 @@ class Sgd {
  public:
   Sgd(std::vector<Parameter*> params, SgdOptions options);
   explicit Sgd(Module& module, SgdOptions options)
-      : Sgd(module.parameters(), options) {}
+      : Sgd(std::vector<Parameter*>(module.parameters().begin(),
+                                    module.parameters().end()),
+            options) {}
 
   /// Applies one update from the accumulated gradients.
   void step();
@@ -33,5 +37,11 @@ class Sgd {
   SgdOptions options_;
   std::vector<Tensor> velocity_;  // allocated lazily when momentum != 0
 };
+
+/// One supervised step: zero the gradients, forward `images`, take the
+/// cross-entropy against `labels`, backpropagate and step. Returns the
+/// loss. Allocation-free once `model` and `loss` have seen the batch shape.
+double sgd_step(Module& model, Sgd& optimizer, SoftmaxCrossEntropy& loss,
+                const Tensor& images, std::span<const std::int64_t> labels);
 
 }  // namespace zka::nn

@@ -124,13 +124,20 @@ Tensor Tensor::slice0(std::int64_t begin, std::int64_t end) const {
 }
 
 Tensor Tensor::index_select0(std::span<const std::int64_t> indices) const {
+  Tensor out;
+  index_select0(indices, out);
+  return out;
+}
+
+void Tensor::index_select0(std::span<const std::int64_t> indices,
+                           Tensor& out) const {
   if (shape_.empty()) {
     throw std::invalid_argument("index_select0 on rank-0 tensor");
   }
-  Shape out_shape = shape_;
-  out_shape[0] = static_cast<std::int64_t>(indices.size());
   const std::int64_t row = numel() / std::max<std::int64_t>(shape_[0], 1);
-  std::vector<float> out(static_cast<std::size_t>(out_shape[0] * row));
+  out.shape_.assign(shape_.begin(), shape_.end());
+  out.shape_[0] = static_cast<std::int64_t>(indices.size());
+  out.data_.resize(indices.size() * static_cast<std::size_t>(row));
   for (std::size_t r = 0; r < indices.size(); ++r) {
     const std::int64_t i = indices[r];
     if (i < 0 || i >= shape_[0]) {
@@ -138,9 +145,18 @@ Tensor Tensor::index_select0(std::span<const std::int64_t> indices) const {
     }
     std::copy(data_.begin() + static_cast<std::ptrdiff_t>(i * row),
               data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * row),
-              out.begin() + static_cast<std::ptrdiff_t>(r) * row);
+              out.data_.begin() + static_cast<std::ptrdiff_t>(r) * row);
   }
-  return Tensor(std::move(out_shape), std::move(out));
+}
+
+void Tensor::resize(std::span<const std::int64_t> shape) {
+  std::int64_t n = 1;
+  for (const std::int64_t d : shape) {
+    if (d < 0) throw std::invalid_argument("negative dimension in shape");
+    n *= d;
+  }
+  if (shape.data() != shape_.data()) shape_.assign(shape.begin(), shape.end());
+  data_.resize(static_cast<std::size_t>(n));
 }
 
 void Tensor::fill(float value) noexcept {

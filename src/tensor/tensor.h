@@ -5,6 +5,7 @@
 // vectors), 2 (dense activations / GEMM operands) or 4 (NCHW images).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -82,11 +83,27 @@ class Tensor {
   /// Same data, new shape; numel must be preserved.
   Tensor reshape(Shape new_shape) const;
 
+  /// Re-shapes this tensor in place. The storage grows only when the new
+  /// element count exceeds its capacity, so a buffer resized to the shapes
+  /// it has already held never allocates. Element values are unspecified
+  /// afterwards: callers overwrite every element or fill() first.
+  void resize(std::span<const std::int64_t> shape);
+  void resize(std::initializer_list<std::int64_t> shape) {
+    resize(std::span<const std::int64_t>(shape.begin(), shape.size()));
+  }
+
+  /// True iff the shape equals `dims` (no temporary Shape is built).
+  bool has_shape(std::initializer_list<std::int64_t> dims) const noexcept {
+    return std::equal(shape_.begin(), shape_.end(), dims.begin(), dims.end());
+  }
+
   /// Slice along axis 0: rows [begin, end). Copies.
   Tensor slice0(std::int64_t begin, std::int64_t end) const;
 
   /// Gather rows along axis 0 by index. Copies.
   Tensor index_select0(std::span<const std::int64_t> indices) const;
+  /// Same gather into `out`, resized in place (see resize()).
+  void index_select0(std::span<const std::int64_t> indices, Tensor& out) const;
 
   void fill(float value) noexcept;
 

@@ -8,14 +8,55 @@
 namespace zka::util {
 namespace {
 
-// Identifies, per thread, the pool (if any) whose worker_loop is running on
-// it. parallel_for uses this to detect re-entrant calls: a body that itself
-// calls parallel_for on the same pool must not block on helper jobs, since
-// those queue behind the already-running outer tasks (deadlock with one
-// worker, oversubscription otherwise).
+// Per thread: the pool whose worker_loop runs on it and that worker's
+// participant index.
 thread_local const ThreadPool* t_worker_of = nullptr;
+thread_local std::size_t t_worker_index = 0;
+
+// Per thread, the pools whose parallel_for this thread is inside, as a
+// stack of marks on the callers' frames (pools may nest in each other).
+struct CallerMark {
+  const ThreadPool* pool;
+  const CallerMark* outer;
+};
+thread_local const CallerMark* t_caller_marks = nullptr;
+
+bool calling(const ThreadPool* pool) noexcept {
+  for (const CallerMark* m = t_caller_marks; m != nullptr; m = m->outer) {
+    if (m->pool == pool) return true;
+  }
+  return false;
+}
 
 }  // namespace
+
+/// One parallel_for's shared state. It lives on the caller's stack; the
+/// caller leaves only after every worker that joined has left.
+struct ThreadPool::Region {
+  IndexFn body;
+  std::size_t n;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+
+  Region(IndexFn b, std::size_t count) : body(b), n(count) {}
+
+  void drain() noexcept {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n || failed.load(std::memory_order_relaxed)) return;
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -23,7 +64,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
   }
 }
 
@@ -51,58 +92,68 @@ bool ThreadPool::in_worker_thread() const noexcept {
   return t_worker_of == this;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
+std::size_t ThreadPool::participant_index() const noexcept {
+  return t_worker_of == this ? t_worker_index : 0;
+}
+
+void ThreadPool::parallel_for(std::size_t n, IndexFn body) {
   if (n == 0) return;
-  if (n == 1 || in_worker_thread()) {
-    // Re-entrant call from one of our own workers (or trivial size): run
-    // inline on the calling thread. Blocking on helper futures here would
-    // deadlock a fully-busy pool, and extra helpers would oversubscribe the
-    // machine; the outer parallel_for already owns the available workers.
+  if (t_worker_of == this || calling(this)) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n || failed.load(std::memory_order_relaxed)) return;
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
+  // Callers from outside take turns, so index 0 has one holder at a time.
+  std::lock_guard owner(region_owner_);
+  const CallerMark mark{this, t_caller_marks};
+  t_caller_marks = &mark;
+  struct Unmark {
+    const CallerMark* outer;
+    ~Unmark() { t_caller_marks = outer; }
+  } unmark{mark.outer};
+  Region region(body, n);
   const std::size_t helpers = std::min(workers_.size(), n - 1);
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) futures.push_back(submit(drain));
-  drain();  // The calling thread participates.
-  for (auto& f : futures) f.wait();
-  if (first_error) std::rethrow_exception(first_error);
+  if (helpers > 0) {
+    {
+      std::lock_guard lock(mutex_);
+      region_ = &region;
+      seats_ = helpers;
+    }
+    cv_.notify_all();
+  }
+  region.drain();
+  if (helpers > 0) {
+    // Close the region to late workers, then wait for those inside it.
+    std::unique_lock lock(mutex_);
+    seats_ = 0;
+    region_ = nullptr;
+    region_done_.wait(lock, [this] { return active_ == 0; });
+  }
+  if (region.first_error) std::rethrow_exception(region.first_error);
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t index) {
   t_worker_of = this;
+  t_worker_index = index;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::packaged_task<void()> job;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
-      if (stopping_ && jobs_.empty()) return;
-      job = std::move(jobs_.front());
+    cv_.wait(lock, [this] { return stopping_ || seats_ > 0 || !jobs_.empty(); });
+    if (seats_ > 0) {
+      --seats_;
+      ++active_;
+      Region& region = *region_;
+      lock.unlock();
+      region.drain();
+      lock.lock();
+      if (--active_ == 0) region_done_.notify_all();
+    } else if (!jobs_.empty()) {
+      std::packaged_task<void()> job = std::move(jobs_.front());
       jobs_.pop();
+      lock.unlock();
+      job();
+      lock.lock();
+    } else {
+      return;  // stopping_, and nothing left to run
     }
-    job();
   }
 }
 

@@ -1,0 +1,136 @@
+// Allocation gate: a steady-state training step, eval batch and ZKA-R
+// synthesis epoch allocate nothing. This binary replaces the global
+// operator new/delete with counting versions; each case runs its step once
+// to warm the buffers up, then counts every allocation, on any thread, made
+// while the step runs again. Registered at several pool sizes so the
+// pool-parallel GEMM and im2col/col2im paths are counted too.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/zka_r.h"
+#include "data/loader.h"
+#include "data/synthetic.h"
+#include "models/models.h"
+#include "nn/loss.h"
+#include "nn/sgd.h"
+#include "util/rng.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<long> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace zka {
+namespace {
+
+// Allocations made while `step` runs (once warmed up by a first call).
+template <typename Step>
+long steady_state_allocations(Step&& step) {
+  step();
+  g_allocations.store(0);
+  g_counting.store(true);
+  step();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+std::vector<float> g_sink;
+
+TEST(AllocationGate, CounterSeesAllocations) {
+  // One allocation per call (the temporary's buffer), which the move into
+  // a global keeps the compiler from eliding.
+  EXPECT_EQ(steady_state_allocations(
+                [] { g_sink = std::vector<float>(1000 + g_sink.size()); }),
+            1);
+}
+
+// Batch fetch, forward, loss, backward and Sgd::step, as Client::train
+// runs them.
+void check_training_step(models::Task task) {
+  const auto dataset = data::make_synthetic_dataset(task, 96, 4);
+  util::Rng rng(5);
+  auto model = models::task_model_factory(task)(6);
+  nn::Sgd optimizer(*model, {.learning_rate = 0.05f});
+  nn::SoftmaxCrossEntropy loss;
+  data::DataLoader loader(dataset, 32);
+  loader.shuffle(rng);
+  data::Batch batch;
+  std::int64_t b = 0;
+  EXPECT_EQ(steady_state_allocations([&] {
+              loader.batch(b++ % loader.num_batches(), batch);
+              nn::sgd_step(*model, optimizer, loss, batch.images,
+                           batch.labels);
+            }),
+            0)
+      << models::task_name(task);
+}
+
+TEST(AllocationGate, FashionTrainingStep) {
+  check_training_step(models::Task::kFashion);
+}
+
+TEST(AllocationGate, CifarTrainingStep) {
+  check_training_step(models::Task::kCifar);
+}
+
+// One batch of evaluate_accuracy: fetch, forward, count hits.
+TEST(AllocationGate, EvalBatch) {
+  const auto dataset =
+      data::make_synthetic_dataset(models::Task::kCifar, 128, 7);
+  auto model = models::task_model_factory(models::Task::kCifar)(8);
+  const data::DataLoader loader(dataset, 64);
+  data::Batch batch;
+  std::int64_t b = 0;
+  std::int64_t hits = 0;
+  EXPECT_EQ(steady_state_allocations([&] {
+              loader.batch(b++ % loader.num_batches(), batch);
+              hits += nn::correct_predictions(model->forward(batch.images),
+                                              batch.labels);
+            }),
+            0);
+  EXPECT_GE(hits, 0);
+}
+
+// Filter forward, frozen classifier forward, loss, backward into the
+// filter and its step.
+TEST(AllocationGate, ZkaRSynthesisEpoch) {
+  const auto spec = models::cifar_spec();
+  util::Rng rng(9);
+  auto classifier = models::task_model_factory(models::Task::kCifar)(10);
+  auto filter = models::make_filter_layer(spec, 3, rng);
+  nn::Sgd optimizer(*filter, {.learning_rate = 0.1f});
+  nn::SoftmaxCrossEntropy loss;
+  const tensor::Tensor a = tensor::Tensor::uniform(
+      {1, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
+  const tensor::Tensor ambiguous({1, spec.num_classes},
+                                 1.0f / static_cast<float>(spec.num_classes));
+  EXPECT_EQ(steady_state_allocations([&] {
+              core::synthesis_epoch(*filter, optimizer, *classifier, loss, a,
+                                    ambiguous);
+            }),
+            0);
+}
+
+}  // namespace
+}  // namespace zka

@@ -168,6 +168,30 @@ TEST(Loader, SubsetViewAndValidation) {
   EXPECT_THROW(DataLoader(d, 0), std::invalid_argument);
 }
 
+TEST(Loader, FilledBatchHoldsTheSameRowsAndLabels) {
+  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 23, 8);
+  const std::vector<std::int64_t> rows = {4, 9, 1, 22, 0, 13, 7, 5, 16};
+  DataLoader loader(d, rows, 4);
+  const std::int64_t pixels = d.spec.pixels();
+  Batch kept;  // refilled in place: 4 rows, 4, then the partial batch of 1
+  for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
+    loader.batch(b, kept);
+    const Batch fresh = loader.batch(b);
+    EXPECT_EQ(kept.labels, fresh.labels);
+    EXPECT_EQ(kept.images.shape(), fresh.images.shape());
+    ASSERT_EQ(kept.images.dim(0), static_cast<std::int64_t>(kept.labels.size()));
+    for (std::int64_t i = 0; i < kept.images.dim(0); ++i) {
+      const std::int64_t row = rows[static_cast<std::size_t>(b * 4 + i)];
+      EXPECT_EQ(kept.labels[static_cast<std::size_t>(i)],
+                d.labels[static_cast<std::size_t>(row)]);
+      for (std::int64_t p = 0; p < pixels; ++p) {
+        ASSERT_EQ(kept.images[i * pixels + p], d.images[row * pixels + p]);
+      }
+    }
+  }
+  EXPECT_EQ(kept.labels.size(), 1u);
+}
+
 TEST(Loader, ShufflePermutesButPreservesMultiset) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 32, 6);
   DataLoader loader(d, 32);

@@ -150,6 +150,66 @@ TEST(ThreadPool, InWorkerThreadDetection) {
   EXPECT_FALSE(inside_other.load());  // ...and is not a worker of another
 }
 
+// Runs `n` bodies on `pool`, each holding its participant index for a
+// moment; counts bodies that found their index already held.
+int index_collisions(ThreadPool& pool, std::size_t n,
+                     std::vector<std::atomic<int>>& holders) {
+  std::atomic<int> collisions{0};
+  pool.parallel_for(n, [&](std::size_t) {
+    const std::size_t index = pool.participant_index();
+    EXPECT_LE(index, pool.size());
+    if (holders[index].fetch_add(1) != 0) collisions.fetch_add(1);
+    std::atomic<int> spin{0};
+    while (spin.fetch_add(1, std::memory_order_relaxed) < 200) {
+    }
+    holders[index].fetch_sub(1);
+  });
+  return collisions.load();
+}
+
+TEST(ThreadPool, ConcurrentBodiesNeverShareAParticipantIndex) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> holders(pool.size() + 1);
+  EXPECT_EQ(index_collisions(pool, 2000, holders), 0);
+  // Two outside threads calling at once (this one and another pool's
+  // worker) take turns, so the caller index 0 has one holder at a time.
+  ThreadPool outside(1);
+  std::atomic<int> collisions{0};
+  auto other = outside.submit(
+      [&] { collisions.fetch_add(index_collisions(pool, 2000, holders)); });
+  collisions.fetch_add(index_collisions(pool, 2000, holders));
+  other.wait();
+  EXPECT_EQ(collisions.load(), 0);
+}
+
+TEST(ThreadPool, ParticipantIndexOfCallersAndWorkers) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.participant_index(), 0u);  // not a worker
+  std::atomic<std::size_t> in_job{0};
+  pool.submit([&] { in_job.store(pool.participant_index()); }).wait();
+  EXPECT_GE(in_job.load(), 1u);
+  EXPECT_LE(in_job.load(), pool.size());
+  ThreadPool other(1);
+  std::atomic<std::size_t> in_other{99};
+  other.submit([&] { in_other.store(pool.participant_index()); }).wait();
+  EXPECT_EQ(in_other.load(), 0u);  // a worker of another pool
+}
+
+TEST(ThreadPool, NestedParallelForSeesOuterIndex) {
+  ThreadPool pool(3);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> inner_calls{0};
+  pool.parallel_for(16, [&](std::size_t) {
+    const std::size_t outer = pool.participant_index();
+    pool.parallel_for(8, [&](std::size_t) {
+      inner_calls.fetch_add(1);
+      if (pool.participant_index() != outer) mismatches.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 16 * 8);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ThreadPool, ParallelForComputesCorrectSum) {
   ThreadPool pool(4);
   std::vector<long> out(1000);
