@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
           // The server's clean root dataset (distinct seed from clients).
           return std::make_unique<defense::FlTrust>(
               data::make_synthetic_dataset(task, 64, seed ^ 0xf17057u),
-              models::task_model_factory(task), defense::FlTrustOptions{},
+              models::task_model_factory(task), data::LocalSgdOptions{},
               seed);
         };
       } else {

@@ -29,25 +29,18 @@ int main(int argc, char** argv) {
       zka.synthesis_epochs = epochs;
 
       fl::Simulation sim(config);
-      std::unique_ptr<attack::Attack> attack;
-      core::ZkaRAttack* as_r = nullptr;
-      core::ZkaGAttack* as_g = nullptr;
+      std::unique_ptr<core::ZkaAttack> attack;
       if (use_generator) {
-        auto g = std::make_unique<core::ZkaGAttack>(models::Task::kFashion,
+        attack = std::make_unique<core::ZkaGAttack>(models::Task::kFashion,
                                                     zka, scale.seed);
-        as_g = g.get();
-        attack = std::move(g);
       } else {
-        auto r = std::make_unique<core::ZkaRAttack>(models::Task::kFashion,
+        attack = std::make_unique<core::ZkaRAttack>(models::Task::kFashion,
                                                     zka, scale.seed);
-        as_r = r.get();
-        attack = std::move(r);
       }
 
       sim.set_round_callback([&](const fl::RoundRecord& record) {
         if (record.malicious_selected == 0) return;
-        const auto& losses = use_generator ? as_g->synthesis_loss_history()
-                                           : as_r->synthesis_loss_history();
+        const auto& losses = attack->synthesis_loss_history();
         for (std::size_t e = 0; e < losses.size(); ++e) {
           table.add_row({use_generator ? "ZKA-G" : "ZKA-R", defense,
                          std::to_string(record.round),

@@ -46,7 +46,7 @@ struct MiniFederation {
     for (std::int64_t c = 0; c < 40; ++c) {
       fed.clients.emplace_back(c, fed.train,
                                parts[static_cast<std::size_t>(c)],
-                               fed.factory, fl::ClientOptions{});
+                               fed.factory, data::LocalSgdOptions{});
     }
     fed.num_malicious = 8;  // 20%
     fed.global = nn::get_flat_params(*fed.factory(seed));

@@ -84,30 +84,23 @@ int main(int argc, char** argv) {
   zka.synthetic_size = count;
   zka.synthesis_epochs = 8;
 
-  std::unique_ptr<attack::Attack> attack;
-  const tensor::Tensor* images = nullptr;
-  std::int64_t decoy = -1;
+  std::unique_ptr<core::ZkaAttack> attack;
   if (variant == "zka-g") {
-    auto g = std::make_unique<core::ZkaGAttack>(task, zka, seed);
-    g->craft(ctx);
-    images = &g->last_synthetic_images();
-    decoy = g->decoy_label();
-    attack = std::move(g);
+    attack = std::make_unique<core::ZkaGAttack>(task, zka, seed);
   } else {
-    auto r = std::make_unique<core::ZkaRAttack>(task, zka, seed);
-    r->craft(ctx);
-    images = &r->last_synthetic_images();
-    decoy = r->decoy_label();
-    attack = std::move(r);
+    attack = std::make_unique<core::ZkaRAttack>(task, zka, seed);
   }
+  attack->craft(ctx);
+  const tensor::Tensor& images = attack->last_synthetic_images();
+  const std::int64_t decoy = attack->decoy_label();
 
   std::printf("== %s synthetic images (decoy label Ỹ = %lld) ==\n",
               attack->name().c_str(), static_cast<long long>(decoy));
   nn::set_flat_params(*model, global);
   for (std::int64_t i = 0; i < count; ++i) {
     std::printf("synthetic image %lld:\n", static_cast<long long>(i));
-    render_ascii(*images, i, spec);
-    print_prediction(*model, *images, i);
+    render_ascii(images, i, spec);
+    print_prediction(*model, images, i);
   }
   std::printf(
       "ZKA-R images aim for a flat prediction vector (ambiguity); ZKA-G "

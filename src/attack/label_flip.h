@@ -8,21 +8,16 @@
 
 #include "attack/attack.h"
 #include "data/dataset.h"
+#include "data/local_sgd.h"
 #include "models/models.h"
 #include "util/rng.h"
 
 namespace zka::attack {
 
-struct LabelFlipOptions {
-  std::int64_t local_epochs = 1;
-  std::int64_t batch_size = 32;
-  float learning_rate = 0.05f;
-};
-
 class LabelFlipAttack : public Attack {
  public:
   LabelFlipAttack(data::Dataset dataset, models::ModelFactory factory,
-                  LabelFlipOptions options, std::uint64_t seed);
+                  data::LocalSgdOptions options, std::uint64_t seed);
 
   Update craft(const AttackContext& ctx) override;
   std::string name() const override { return "LabelFlip"; }
@@ -30,8 +25,9 @@ class LabelFlipAttack : public Attack {
  private:
   data::Dataset dataset_;
   models::ModelFactory factory_;
-  LabelFlipOptions options_;
+  data::LocalSgdOptions options_;
   util::Rng rng_;
+  data::TrainScratch scratch_;  // its model trains when no replica is lent
 };
 
 }  // namespace zka::attack

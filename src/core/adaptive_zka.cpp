@@ -3,42 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
-#include "attack/attack.h"
-
-#include "core/zka_g.h"
-#include "core/zka_r.h"
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace zka::core {
 
-AdaptiveZkaAttack::AdaptiveZkaAttack(models::Task task, ZkaVariant variant,
-                                     ZkaOptions options,
-                                     AdaptiveOptions adaptive,
-                                     std::uint64_t seed)
-    : variant_(variant), adaptive_(adaptive),
-      lambda_(options.classifier.lambda) {
+AdaptiveZkaAttack::AdaptiveZkaAttack(std::unique_ptr<ZkaAttack> inner,
+                                     AdaptiveOptions adaptive)
+    : inner_(std::move(inner)), adaptive_(adaptive) {
+  ZKA_CHECK(inner_ != nullptr, "AdaptiveZka: no attack to wrap");
   ZKA_CHECK(adaptive_.lambda_min <= adaptive_.lambda_max &&
                 adaptive_.escalation > 0.0,
             "AdaptiveZka: lambda range [%g, %g], escalation %g",
             adaptive_.lambda_min, adaptive_.lambda_max,
             adaptive_.escalation);
-  lambda_ = std::clamp(lambda_, adaptive_.lambda_min, adaptive_.lambda_max);
-  options.classifier.lambda = lambda_;
-  if (variant_ == ZkaVariant::kReverse) {
-    auto attack = std::make_unique<ZkaRAttack>(task, options, seed);
-    as_reverse_ = attack.get();
-    inner_ = std::move(attack);
-  } else {
-    auto attack = std::make_unique<ZkaGAttack>(task, options, seed);
-    as_generator_ = attack.get();
-    inner_ = std::move(attack);
-  }
-}
-
-void AdaptiveZkaAttack::apply_lambda() {
-  if (as_reverse_ != nullptr) as_reverse_->set_classifier_lambda(lambda_);
-  if (as_generator_ != nullptr) as_generator_->set_classifier_lambda(lambda_);
+  lambda_ = std::clamp(inner_->options().classifier.lambda,
+                       adaptive_.lambda_min, adaptive_.lambda_max);
+  inner_->set_classifier_lambda(lambda_);
 }
 
 attack::Update AdaptiveZkaAttack::craft(const attack::AttackContext& ctx) {
@@ -63,7 +44,7 @@ attack::Update AdaptiveZkaAttack::craft(const attack::AttackContext& ctx) {
     }
     lambda_ = std::clamp(lambda_, adaptive_.lambda_min,
                          adaptive_.lambda_max);
-    apply_lambda();
+    inner_->set_classifier_lambda(lambda_);
   }
 
   attack::Update crafted = inner_->craft(ctx);

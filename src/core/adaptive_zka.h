@@ -19,9 +19,7 @@
 
 #include <memory>
 
-#include "attack/attack.h"
-#include "core/zka_options.h"
-#include "models/models.h"
+#include "core/zka_attack.h"
 
 namespace zka::core {
 
@@ -35,18 +33,14 @@ struct AdaptiveOptions {
   double accept_cosine = 0.05;
 };
 
-enum class ZkaVariant { kReverse, kGenerator };
-
 class AdaptiveZkaAttack : public attack::Attack {
  public:
-  AdaptiveZkaAttack(models::Task task, ZkaVariant variant, ZkaOptions options,
-                    AdaptiveOptions adaptive, std::uint64_t seed);
+  /// Wraps `inner`, starting from its lambda clamped to the adaptive range.
+  AdaptiveZkaAttack(std::unique_ptr<ZkaAttack> inner,
+                    AdaptiveOptions adaptive);
 
   attack::Update craft(const attack::AttackContext& ctx) override;
-  std::string name() const override {
-    return variant_ == ZkaVariant::kReverse ? "ZKA-R-adaptive"
-                                            : "ZKA-G-adaptive";
-  }
+  std::string name() const override { return inner_->name() + "-adaptive"; }
 
   double current_lambda() const noexcept { return lambda_; }
   /// Rounds the attacker believes it passed / was filtered (telemetry).
@@ -54,14 +48,9 @@ class AdaptiveZkaAttack : public attack::Attack {
   std::int64_t inferred_rejects() const noexcept { return rejects_; }
 
  private:
-  void apply_lambda();
-
-  ZkaVariant variant_;
+  std::unique_ptr<ZkaAttack> inner_;
   AdaptiveOptions adaptive_;
   double lambda_;
-  std::unique_ptr<attack::Attack> inner_;  // owns the wrapped ZKA attack
-  class ZkaRAttack* as_reverse_ = nullptr;
-  class ZkaGAttack* as_generator_ = nullptr;
   attack::Update last_submitted_;
   attack::Update last_global_;
   std::int64_t accepts_ = 0;

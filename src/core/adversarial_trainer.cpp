@@ -60,13 +60,4 @@ std::vector<double> AdversarialTrainer::train(
   return epoch_losses;
 }
 
-nn::Sequential& working_classifier(const attack::AttackContext& ctx,
-                                   std::unique_ptr<nn::Sequential>& own,
-                                   const models::ModelFactory& factory,
-                                   std::uint64_t seed) {
-  if (ctx.model_replica != nullptr) return *ctx.model_replica;
-  if (!own) own = factory(seed);
-  return *own;
-}
-
 }  // namespace zka::core

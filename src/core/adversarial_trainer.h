@@ -8,9 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "attack/attack.h"
 #include "core/distance_reg.h"
-#include "models/models.h"
 #include "nn/sequential.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -51,13 +49,5 @@ class AdversarialTrainer {
   AdversarialTrainerOptions options_;
   DistanceRegularizer regularizer_;
 };
-
-/// The classifier a ZKA craft works on: the replica the caller lends in
-/// `ctx`, else `own`, built by `factory` on first use and kept for the next
-/// craft. Its parameters are the caller's to load.
-nn::Sequential& working_classifier(const attack::AttackContext& ctx,
-                                   std::unique_ptr<nn::Sequential>& own,
-                                   const models::ModelFactory& factory,
-                                   std::uint64_t seed);
 
 }  // namespace zka::core

@@ -19,13 +19,6 @@ double DistanceRegularizer::value(std::span<const float> w,
 
 double DistanceRegularizer::apply(nn::Module& model,
                                   std::span<const float> global,
-                                  std::span<const float> prev_global) const {
-  std::vector<float> scratch;
-  return apply(model, global, prev_global, scratch);
-}
-
-double DistanceRegularizer::apply(nn::Module& model,
-                                  std::span<const float> global,
                                   std::span<const float> prev_global,
                                   std::vector<float>& scratch) const {
   if (lambda_ == 0.0) return 0.0;

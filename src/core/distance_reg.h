@@ -26,11 +26,9 @@ class DistanceRegularizer {
 
   /// Adds lambda * dL_d/dw onto the model's parameter gradients and
   /// returns lambda * L_d. Call between loss backward() and optimizer
-  /// step(). No-op returning 0 when lambda == 0.
-  double apply(nn::Module& model, std::span<const float> global,
-               std::span<const float> prev_global) const;
-  /// Same, with the flat-parameter working vector in `scratch`, which a
-  /// training loop keeps so each step reuses its storage.
+  /// step(). No-op returning 0 when lambda == 0. `scratch` holds the
+  /// flat-parameter working vector; a training loop keeps it so each step
+  /// reuses its storage.
   double apply(nn::Module& model, std::span<const float> global,
                std::span<const float> prev_global,
                std::vector<float>& scratch) const;

@@ -4,25 +4,7 @@ namespace zka::core {
 
 RealDataAttack::RealDataAttack(models::Task task, data::Dataset dataset,
                                ZkaOptions options, std::uint64_t seed)
-    : spec_(models::task_spec(task)),
-      dataset_(std::move(dataset)),
-      options_(options),
-      factory_(models::task_model_factory(task)),
-      trainer_(options.classifier),
-      rng_(seed),
-      decoy_label_(options.decoy_label >= 0
-                       ? options.decoy_label
-                       : static_cast<std::int64_t>(rng_.uniform_index(
-                             static_cast<std::uint64_t>(
-                                 spec_.num_classes)))) {}
-
-attack::Update RealDataAttack::craft(const attack::AttackContext& ctx) {
-  attack::validate_context(*this, ctx);
-  auto classifier = factory_(rng_.split(0xda7a)());
-  nn::set_flat_params(*classifier, ctx.global_model);
-  trainer_.train(*classifier, dataset_.images, decoy_label_, ctx.global_model,
-                 ctx.prev_global_model, rng_);
-  return nn::get_flat_params(*classifier);
-}
+    : ZkaAttack(task, options, seed, 0xda7a, nullptr, nullptr),
+      dataset_(std::move(dataset)) {}
 
 }  // namespace zka::core

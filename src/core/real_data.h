@@ -5,34 +5,27 @@
 // was designed on.
 #pragma once
 
-#include "attack/attack.h"
-#include "core/zka_options.h"
+#include "core/zka_attack.h"
 #include "data/dataset.h"
-#include "models/models.h"
-#include "util/rng.h"
 
 namespace zka::core {
 
-class RealDataAttack : public attack::Attack {
+class RealDataAttack : public ZkaAttack {
  public:
   /// `dataset` is the attacker's real data (assigned under the same
   /// Dirichlet distribution as benign clients in the paper's setup).
   RealDataAttack(models::Task task, data::Dataset dataset, ZkaOptions options,
                  std::uint64_t seed);
 
-  attack::Update craft(const attack::AttackContext& ctx) override;
   std::string name() const override { return "Real-data"; }
 
-  std::int64_t decoy_label() const noexcept { return decoy_label_; }
-
  private:
-  models::ImageSpec spec_;
+  /// Step 1 is the attacker's own images, as they are.
+  const tensor::Tensor& synthesize(nn::Sequential& /*classifier*/) override {
+    return dataset_.images;
+  }
+
   data::Dataset dataset_;
-  ZkaOptions options_;
-  models::ModelFactory factory_;
-  AdversarialTrainer trainer_;
-  util::Rng rng_;
-  std::int64_t decoy_label_;
 };
 
 }  // namespace zka::core

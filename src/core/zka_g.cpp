@@ -9,17 +9,8 @@ namespace zka::core {
 
 ZkaGAttack::ZkaGAttack(models::Task task, ZkaOptions options,
                        std::uint64_t seed)
-    : task_(task),
-      spec_(models::task_spec(task)),
-      options_(options),
-      factory_(models::task_model_factory(task)),
-      trainer_(options.classifier),
-      rng_(seed),
-      decoy_label_(options.decoy_label >= 0
-                       ? options.decoy_label
-                       : static_cast<std::int64_t>(rng_.uniform_index(
-                             static_cast<std::uint64_t>(
-                                 spec_.num_classes)))) {
+    : ZkaAttack(task, options, seed, 0x7e0, "zka_g/craft",
+                "zka_g/classifier_train") {
   ZKA_CHECK(options_.latent_dim > 0 && options_.synthetic_size > 0,
             "ZKA-G: latent_dim=%lld, synthetic_size=%lld out of range",
             static_cast<long long>(options_.latent_dim),
@@ -33,22 +24,9 @@ ZkaGAttack::ZkaGAttack(models::Task task, ZkaOptions options,
                                    gen_rng);
 }
 
-void ZkaGAttack::set_classifier_lambda(double lambda) {
-  options_.classifier.lambda = lambda;
-  trainer_ = AdversarialTrainer(options_.classifier);
-}
-
-attack::Update ZkaGAttack::craft(const attack::AttackContext& ctx) {
-  ZKA_PROF_SCOPE("zka_g/craft");
-  attack::validate_context(*this, ctx);
-
-  // The seed is drawn even when no model is built (see ZKA-R).
-  nn::Sequential& classifier = working_classifier(
-      ctx, classifier_, factory_, rng_.split(0x7e0)());
-  nn::set_flat_params(classifier, ctx.global_model);
-
+const tensor::Tensor& ZkaGAttack::synthesize(nn::Sequential& classifier) {
   const std::vector<std::int64_t> decoy_labels(
-      static_cast<std::size_t>(options_.synthetic_size), decoy_label_);
+      static_cast<std::size_t>(options_.synthetic_size), decoy_label());
   loss_history_.clear();
 
   if (options_.train_synthesis) {
@@ -68,16 +46,8 @@ attack::Update ZkaGAttack::craft(const attack::AttackContext& ctx) {
     }
   }
 
-  last_images_ = generator_->forward(latent_);
-
-  // Step 2: adversarial classifier training on (S, Ỹ) with L_d.
-  nn::set_flat_params(classifier, ctx.global_model);
-  {
-    ZKA_PROF_SCOPE("zka_g/classifier_train");
-    trainer_.train(classifier, last_images_, decoy_label_, ctx.global_model,
-                   ctx.prev_global_model, rng_);
-  }
-  return nn::get_flat_params(classifier);
+  images_ = generator_->forward(latent_);
+  return images_;
 }
 
 }  // namespace zka::core

@@ -11,55 +11,27 @@
 
 #include <memory>
 
-#include "attack/attack.h"
-#include "core/zka_options.h"
-#include "models/models.h"
-#include "nn/sequential.h"
-#include "util/rng.h"
+#include "core/zka_attack.h"
 
 namespace zka::core {
 
-class ZkaGAttack : public attack::Attack {
+class ZkaGAttack : public ZkaAttack {
  public:
   ZkaGAttack(models::Task task, ZkaOptions options, std::uint64_t seed);
 
-  attack::Update craft(const attack::AttackContext& ctx) override;
   std::string name() const override {
     return options_.train_synthesis ? "ZKA-G" : "ZKA-G-static";
   }
 
-  std::int64_t decoy_label() const noexcept { return decoy_label_; }
-
-  /// Re-weights the distance regularizer for subsequent rounds (used by
-  /// the adaptive stealth extension).
-  void set_classifier_lambda(double lambda);
-
-  /// Per-epoch mean generator loss (positive cross-entropy vs Ỹ; the
-  /// attack maximizes it) of the last craft() (Fig. 6).
-  const std::vector<double>& synthesis_loss_history() const noexcept {
-    return loss_history_;
-  }
-
-  /// Synthetic images produced by the last craft() (Fig. 4 analysis).
-  const tensor::Tensor& last_synthetic_images() const noexcept {
-    return last_images_;
-  }
-
  private:
-  models::Task task_;
-  models::ImageSpec spec_;
-  ZkaOptions options_;
-  models::ModelFactory factory_;
-  // The working classifier when the caller lends no replica (see
-  // working_classifier); built by the first such craft.
-  std::unique_ptr<nn::Sequential> classifier_;
-  AdversarialTrainer trainer_;
-  util::Rng rng_;
-  std::int64_t decoy_label_;
+  /// Trains the generator (its per-epoch loss, the positive cross-entropy
+  /// vs Ỹ the attack maximizes, is the synthesis loss history) and returns
+  /// G(Z).
+  const tensor::Tensor& synthesize(nn::Sequential& classifier) override;
+
   std::unique_ptr<nn::Sequential> generator_;
   tensor::Tensor latent_;  // fixed Z, [|S|, latent_dim]
-  std::vector<double> loss_history_;
-  tensor::Tensor last_images_;
+  tensor::Tensor images_;
 };
 
 }  // namespace zka::core

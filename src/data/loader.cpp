@@ -37,12 +37,6 @@ std::int64_t DataLoader::num_batches() const noexcept {
 
 void DataLoader::shuffle(util::Rng& rng) { rng.shuffle(indices_); }
 
-Batch DataLoader::batch(std::int64_t b) const {
-  Batch out;
-  batch(b, out);
-  return out;
-}
-
 void DataLoader::batch(std::int64_t b, Batch& out) const {
   if (b < 0 || b >= num_batches()) {
     throw std::out_of_range("DataLoader::batch out of range");

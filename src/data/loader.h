@@ -32,11 +32,10 @@ class DataLoader {
   /// Reshuffles the iteration order (call once per epoch).
   void shuffle(util::Rng& rng);
 
-  /// Materializes batch `b` in the current order.
-  Batch batch(std::int64_t b) const;
-  /// Same, into `out`: its buffers are resized in place, so a Batch the
-  /// caller keeps is refilled without allocating once it has held a
-  /// full-size batch (the last, partial batch only shrinks it).
+  /// Materializes batch `b` in the current order into `out`: its buffers
+  /// are resized in place, so a Batch the caller keeps is refilled without
+  /// allocating once it has held a full-size batch (the last, partial batch
+  /// only shrinks it).
   void batch(std::int64_t b, Batch& out) const;
 
   std::int64_t size() const noexcept {

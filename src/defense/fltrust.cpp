@@ -4,9 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "data/loader.h"
-#include "nn/loss.h"
-#include "nn/sgd.h"
 #include "tensor/reduce.h"
 #include "util/check.h"
 #include "util/prof.h"
@@ -14,7 +11,7 @@
 namespace zka::defense {
 
 FlTrust::FlTrust(data::Dataset root, models::ModelFactory factory,
-                 FlTrustOptions options, std::uint64_t seed)
+                 data::LocalSgdOptions options, std::uint64_t seed)
     : root_(std::move(root)), factory_(std::move(factory)),
       options_(options), rng_(seed) {
   ZKA_CHECK(root_.size() > 0, "FlTrust: root dataset is empty");
@@ -26,20 +23,9 @@ void FlTrust::begin_round(std::span<const float> global_model,
 
   // Train the server's reference update from the broadcast model.
   util::Rng round_rng = rng_.split(static_cast<std::uint64_t>(round) + 1);
-  auto model = factory_(round_rng.split(1)());
-  nn::set_flat_params(*model, global_);
-  nn::Sgd optimizer(*model, {.learning_rate = options_.learning_rate});
-  nn::SoftmaxCrossEntropy loss;
   data::DataLoader loader(root_, options_.batch_size);
-  data::Batch batch;
-  for (std::int64_t epoch = 0; epoch < options_.local_epochs; ++epoch) {
-    loader.shuffle(round_rng);
-    for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-      loader.batch(b, batch);
-      nn::sgd_step(*model, optimizer, loss, batch.images, batch.labels);
-    }
-  }
-  server_update_ = nn::get_flat_params(*model);
+  data::local_sgd(global_, loader, options_, factory_, round_rng, scratch_,
+                  server_update_);
 }
 
 AggregationResult FlTrust::do_aggregate(std::span<const UpdateView> updates,

@@ -9,23 +9,19 @@
 #pragma once
 
 #include "data/dataset.h"
+#include "data/local_sgd.h"
 #include "defense/aggregator.h"
 #include "models/models.h"
 #include "util/rng.h"
 
 namespace zka::defense {
 
-struct FlTrustOptions {
-  std::int64_t local_epochs = 1;
-  std::int64_t batch_size = 32;
-  float learning_rate = 0.05f;  // should match the clients' configuration
-};
-
 class FlTrust : public Aggregator {
  public:
-  /// `root` is the server's clean dataset (typically ~100 samples).
+  /// `root` is the server's clean dataset (typically ~100 samples);
+  /// `options` should match the clients' training configuration.
   FlTrust(data::Dataset root, models::ModelFactory factory,
-          FlTrustOptions options, std::uint64_t seed);
+          data::LocalSgdOptions options, std::uint64_t seed);
 
   void begin_round(std::span<const float> global_model,
                    std::int64_t round) override;
@@ -42,8 +38,9 @@ class FlTrust : public Aggregator {
  private:
   data::Dataset root_;
   models::ModelFactory factory_;
-  FlTrustOptions options_;
+  data::LocalSgdOptions options_;
   util::Rng rng_;
+  data::TrainScratch scratch_;  // the server's model, kept across rounds
   Update global_;         // model broadcast this round
   Update server_update_;  // reference update trained on the root data
   std::vector<double> last_scores_;

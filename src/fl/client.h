@@ -5,34 +5,17 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/loader.h"
+#include "data/local_sgd.h"
 #include "models/models.h"
-#include "nn/loss.h"
 
 namespace zka::fl {
-
-struct ClientOptions {
-  std::int64_t local_epochs = 1;  // the paper trains one local epoch
-  std::int64_t batch_size = 32;
-  float learning_rate = 0.05f;
-};
-
-/// What Client::train reuses from one call to the next: a model replica
-/// (built on first use) and the batch and loss buffers. A training thread
-/// that keeps one across clients and rounds trains allocation-free in
-/// steady state; it must not be shared by concurrent calls.
-struct TrainScratch {
-  std::unique_ptr<nn::Sequential> model;
-  data::Batch batch;
-  nn::SoftmaxCrossEntropy loss;
-};
 
 class Client {
  public:
   /// `dataset` must outlive the client; `indices` select its local shard.
   Client(std::int64_t id, const data::Dataset& dataset,
          std::vector<std::int64_t> indices, models::ModelFactory factory,
-         ClientOptions options);
+         data::LocalSgdOptions options);
 
   /// Trains a local model initialized from `global` and returns its flat
   /// parameters. Deterministic in (global, seed); safe to call from
@@ -40,10 +23,8 @@ class Client {
   std::vector<float> train(std::span<const float> global,
                            std::uint64_t seed) const;
   /// Same result, written into `out`, training on `scratch`'s replica.
-  /// Every parameter is loaded from `global` first, so the replica's
-  /// previous contents never matter.
   void train(std::span<const float> global, std::uint64_t seed,
-             TrainScratch& scratch, std::vector<float>& out) const;
+             data::TrainScratch& scratch, std::vector<float>& out) const;
 
   std::int64_t id() const noexcept { return id_; }
   std::int64_t num_samples() const noexcept {
@@ -58,7 +39,7 @@ class Client {
   const data::Dataset* dataset_;
   std::vector<std::int64_t> indices_;
   models::ModelFactory factory_;
-  ClientOptions options_;
+  data::LocalSgdOptions options_;
 };
 
 }  // namespace zka::fl

@@ -24,47 +24,45 @@
 
 namespace zka::fl {
 
+namespace {
+
+constexpr AttackKindNames kAttackKinds[] = {
+    {AttackKind::kNone, "none", "None"},
+    {AttackKind::kFang, "fang", "Fang"},
+    {AttackKind::kLie, "lie", "LIE"},
+    {AttackKind::kMinMax, "minmax", "Min-Max"},
+    {AttackKind::kZkaR, "zka-r", "ZKA-R"},
+    {AttackKind::kZkaG, "zka-g", "ZKA-G"},
+    {AttackKind::kZkaRStatic, "zka-r-static", "ZKA-R-static"},
+    {AttackKind::kZkaGStatic, "zka-g-static", "ZKA-G-static"},
+    {AttackKind::kRealData, "real-data", "Real-data"},
+    {AttackKind::kRandomWeights, "random-weights", "RandomWeights"},
+    {AttackKind::kLabelFlip, "label-flip", "LabelFlip"},
+    {AttackKind::kMinSum, "minsum", "Min-Sum"},
+    {AttackKind::kFreeRider, "free-rider", "FreeRider"},
+    {AttackKind::kNaNInjection, "nan-injection", "NaNInjection"},
+    {AttackKind::kZkaRAdaptive, "zka-r-adaptive", "ZKA-R-adaptive"},
+    {AttackKind::kZkaGAdaptive, "zka-g-adaptive", "ZKA-G-adaptive"},
+    {AttackKind::kFangKrum, "fang-krum", "Fang-Krum"},
+};
+
+}  // namespace
+
+std::span<const AttackKindNames> attack_kinds() noexcept {
+  return kAttackKinds;
+}
+
 const char* attack_kind_name(AttackKind kind) noexcept {
-  switch (kind) {
-    case AttackKind::kNone: return "None";
-    case AttackKind::kFang: return "Fang";
-    case AttackKind::kLie: return "LIE";
-    case AttackKind::kMinMax: return "Min-Max";
-    case AttackKind::kZkaR: return "ZKA-R";
-    case AttackKind::kZkaG: return "ZKA-G";
-    case AttackKind::kZkaRStatic: return "ZKA-R-static";
-    case AttackKind::kZkaGStatic: return "ZKA-G-static";
-    case AttackKind::kRealData: return "Real-data";
-    case AttackKind::kRandomWeights: return "RandomWeights";
-    case AttackKind::kLabelFlip: return "LabelFlip";
-    case AttackKind::kMinSum: return "Min-Sum";
-    case AttackKind::kFreeRider: return "FreeRider";
-    case AttackKind::kNaNInjection: return "NaNInjection";
-    case AttackKind::kZkaRAdaptive: return "ZKA-R-adaptive";
-    case AttackKind::kZkaGAdaptive: return "ZKA-G-adaptive";
-    case AttackKind::kFangKrum: return "Fang-Krum";
+  for (const AttackKindNames& entry : kAttackKinds) {
+    if (entry.kind == kind) return entry.display_name;
   }
   return "?";
 }
 
 AttackKind parse_attack_kind(const std::string& name) {
-  if (name == "none") return AttackKind::kNone;
-  if (name == "fang") return AttackKind::kFang;
-  if (name == "lie") return AttackKind::kLie;
-  if (name == "minmax") return AttackKind::kMinMax;
-  if (name == "zka-r") return AttackKind::kZkaR;
-  if (name == "zka-g") return AttackKind::kZkaG;
-  if (name == "zka-r-static") return AttackKind::kZkaRStatic;
-  if (name == "zka-g-static") return AttackKind::kZkaGStatic;
-  if (name == "real-data") return AttackKind::kRealData;
-  if (name == "random-weights") return AttackKind::kRandomWeights;
-  if (name == "label-flip") return AttackKind::kLabelFlip;
-  if (name == "minsum") return AttackKind::kMinSum;
-  if (name == "free-rider") return AttackKind::kFreeRider;
-  if (name == "nan-injection") return AttackKind::kNaNInjection;
-  if (name == "zka-r-adaptive") return AttackKind::kZkaRAdaptive;
-  if (name == "zka-g-adaptive") return AttackKind::kZkaGAdaptive;
-  if (name == "fang-krum") return AttackKind::kFangKrum;
+  for (const AttackKindNames& entry : kAttackKinds) {
+    if (name == entry.cli_name) return entry.kind;
+  }
   throw std::invalid_argument("unknown attack: " + name);
 }
 
@@ -101,14 +99,10 @@ std::unique_ptr<attack::Attack> make_attack(AttackKind kind,
                                                     zka, seed);
     case AttackKind::kRandomWeights:
       return std::make_unique<attack::RandomWeightsAttack>(0.5f, seed);
-    case AttackKind::kLabelFlip: {
-      attack::LabelFlipOptions opts;
-      opts.local_epochs = sim.config().client.local_epochs;
-      opts.batch_size = sim.config().client.batch_size;
-      opts.learning_rate = sim.config().client.learning_rate;
+    case AttackKind::kLabelFlip:
       return std::make_unique<attack::LabelFlipAttack>(
-          sim.malicious_data(), models::task_model_factory(task), opts, seed);
-    }
+          sim.malicious_data(), models::task_model_factory(task),
+          sim.config().client, seed);
     case AttackKind::kMinSum:
       return std::make_unique<attack::MinSumAttack>();
     case AttackKind::kFreeRider:
@@ -117,12 +111,12 @@ std::unique_ptr<attack::Attack> make_attack(AttackKind kind,
       return std::make_unique<attack::NaNInjectionAttack>();
     case AttackKind::kZkaRAdaptive:
       return std::make_unique<core::AdaptiveZkaAttack>(
-          task, core::ZkaVariant::kReverse, zka, core::AdaptiveOptions{},
-          seed);
+          std::make_unique<core::ZkaRAttack>(task, zka, seed),
+          core::AdaptiveOptions{});
     case AttackKind::kZkaGAdaptive:
       return std::make_unique<core::AdaptiveZkaAttack>(
-          task, core::ZkaVariant::kGenerator, zka, core::AdaptiveOptions{},
-          seed);
+          std::make_unique<core::ZkaGAttack>(task, zka, seed),
+          core::AdaptiveOptions{});
     case AttackKind::kFangKrum:
       return std::make_unique<attack::FangKrumAttack>(
           sim.config().defense_f);

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/zka_options.h"
@@ -33,10 +34,21 @@ enum class AttackKind {
   kFangKrum,       // extension: Fang's Krum-directed, defense-aware variant
 };
 
+/// An AttackKind's names: `cli_name` is what parse_attack_kind accepts,
+/// `display_name` what attack_kind_name returns (the name() of the attack
+/// make_attack builds).
+struct AttackKindNames {
+  AttackKind kind;
+  const char* cli_name;
+  const char* display_name;
+};
+
+/// Every AttackKind with its names, in enum order.
+std::span<const AttackKindNames> attack_kinds() noexcept;
+
 const char* attack_kind_name(AttackKind kind) noexcept;
 
-/// Parses "fang", "lie", "minmax", "zka-r", "zka-g", ... (throws on
-/// unknown names).
+/// Parses a cli_name ("fang", "zka-r", ...); throws on unknown names.
 AttackKind parse_attack_kind(const std::string& name);
 
 /// Materializes an attack instance. `sim` supplies the attacker-owned

@@ -9,7 +9,7 @@ namespace zka::fl {
 ClientRegistry::ClientRegistry(const data::Dataset& dataset,
                                std::vector<std::vector<std::int64_t>> parts,
                                models::ModelFactory factory,
-                               ClientOptions options)
+                               data::LocalSgdOptions options)
     : dataset_(&dataset),
       parts_(std::move(parts)),
       factory_(std::move(factory)),
@@ -21,7 +21,7 @@ ClientRegistry::ClientRegistry(const data::Dataset& dataset,
 ClientRegistry::ClientRegistry(const data::Dataset& dataset,
                                data::HashedShardSpec spec,
                                models::ModelFactory factory,
-                               ClientOptions options)
+                               data::LocalSgdOptions options)
     : dataset_(&dataset),
       spec_(spec),
       factory_(std::move(factory)),

@@ -33,12 +33,14 @@ class ClientRegistry {
   /// population is parts.size()). `dataset` must outlive the registry.
   ClientRegistry(const data::Dataset& dataset,
                  std::vector<std::vector<std::int64_t>> parts,
-                 models::ModelFactory factory, ClientOptions options);
+                 models::ModelFactory factory,
+                 data::LocalSgdOptions options);
 
   /// Registry over a lazy shard spec: shards exist only while a sampled
   /// client is live.
   ClientRegistry(const data::Dataset& dataset, data::HashedShardSpec spec,
-                 models::ModelFactory factory, ClientOptions options);
+                 models::ModelFactory factory,
+                 data::LocalSgdOptions options);
 
   std::int64_t population() const noexcept { return population_; }
 
@@ -63,7 +65,7 @@ class ClientRegistry {
   std::optional<data::HashedShardSpec> spec_;
   std::vector<std::vector<std::int64_t>> parts_;  // empty when lazy
   models::ModelFactory factory_;
-  ClientOptions options_;
+  data::LocalSgdOptions options_;
   std::int64_t population_ = 0;
 };
 

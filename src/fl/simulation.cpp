@@ -141,9 +141,9 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   // built by the first client it trains, so none exists before the first
   // round. The thread calling run() also crafts and evaluates on its own.
   util::ThreadPool& pool = util::global_thread_pool();
-  std::vector<TrainScratch> replicas(pool.size() + 1);
+  std::vector<data::TrainScratch> replicas(pool.size() + 1);
   const auto caller_model = [&]() -> nn::Sequential& {
-    TrainScratch& mine = replicas[pool.participant_index()];
+    data::TrainScratch& mine = replicas[pool.participant_index()];
     if (!mine.model) mine.model = factory_(0);
     return *mine.model;
   };

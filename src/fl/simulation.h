@@ -51,7 +51,7 @@ struct SimulationConfig {
   double beta = 0.5;
   std::int64_t train_size = 2000;
   std::int64_t test_size = 500;
-  ClientOptions client = {};
+  data::LocalSgdOptions client = {};
   /// Aggregator name for defense::make_aggregator.
   std::string defense = "fedavg";
   /// The server's assumed Byzantine bound f (also TRmean's trim count).

@@ -100,10 +100,4 @@ std::int64_t correct_predictions(const Tensor& logits,
   return hits;
 }
 
-double accuracy(const Tensor& logits, std::span<const std::int64_t> labels) {
-  if (labels.empty()) return 0.0;
-  return static_cast<double>(correct_predictions(logits, labels)) /
-         static_cast<double>(labels.size());
-}
-
 }  // namespace zka::nn

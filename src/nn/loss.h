@@ -56,7 +56,4 @@ class SoftmaxCrossEntropy {
 std::int64_t correct_predictions(const Tensor& logits,
                                  std::span<const std::int64_t> labels);
 
-/// Fraction of rows whose argmax equals the label.
-double accuracy(const Tensor& logits, std::span<const std::int64_t> labels);
-
 }  // namespace zka::nn

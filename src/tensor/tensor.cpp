@@ -99,30 +99,6 @@ float Tensor::at(std::initializer_list<std::int64_t> idx) const {
   return data_[static_cast<std::size_t>(flat_index(idx))];
 }
 
-Tensor Tensor::reshape(Shape new_shape) const {
-  if (shape_numel(new_shape) != numel()) {
-    throw std::invalid_argument("reshape " + shape_to_string(shape_) + " -> " +
-                                shape_to_string(new_shape) +
-                                " changes element count");
-  }
-  return Tensor(std::move(new_shape), data_);
-}
-
-Tensor Tensor::slice0(std::int64_t begin, std::int64_t end) const {
-  if (shape_.empty()) throw std::invalid_argument("slice0 on rank-0 tensor");
-  if (begin < 0 || end < begin || end > shape_[0]) {
-    throw std::out_of_range("slice0 range [" + std::to_string(begin) + ", " +
-                            std::to_string(end) + ") out of bounds");
-  }
-  Shape out_shape = shape_;
-  out_shape[0] = end - begin;
-  const std::int64_t row = numel() / std::max<std::int64_t>(shape_[0], 1);
-  std::vector<float> out(static_cast<std::size_t>((end - begin) * row));
-  std::copy(data_.begin() + static_cast<std::ptrdiff_t>(begin * row),
-            data_.begin() + static_cast<std::ptrdiff_t>(end * row), out.begin());
-  return Tensor(std::move(out_shape), std::move(out));
-}
-
 Tensor Tensor::index_select0(std::span<const std::int64_t> indices) const {
   Tensor out;
   index_select0(indices, out);
@@ -223,20 +199,6 @@ std::int64_t Tensor::argmax() const {
   if (data_.empty()) throw std::logic_error("argmax of empty tensor");
   return static_cast<std::int64_t>(
       std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-std::vector<std::int64_t> Tensor::argmax_rows() const {
-  ZKA_CHECK(rank() == 2, "argmax_rows requires rank 2, got %s",
-            shape_to_string(shape_).c_str());
-  const std::int64_t rows = shape_[0];
-  const std::int64_t cols = shape_[1];
-  std::vector<std::int64_t> out(static_cast<std::size_t>(rows));
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* begin = data_.data() + r * cols;
-    out[static_cast<std::size_t>(r)] = static_cast<std::int64_t>(
-        std::max_element(begin, begin + cols) - begin);
-  }
-  return out;
 }
 
 double Tensor::l2_norm() const noexcept {

@@ -80,9 +80,6 @@ class Tensor {
   float& at(std::initializer_list<std::int64_t> idx);
   float at(std::initializer_list<std::int64_t> idx) const;
 
-  /// Same data, new shape; numel must be preserved.
-  Tensor reshape(Shape new_shape) const;
-
   /// Re-shapes this tensor in place. The storage grows only when the new
   /// element count exceeds its capacity, so a buffer resized to the shapes
   /// it has already held never allocates. Element values are unspecified
@@ -96,9 +93,6 @@ class Tensor {
   bool has_shape(std::initializer_list<std::int64_t> dims) const noexcept {
     return std::equal(shape_.begin(), shape_.end(), dims.begin(), dims.end());
   }
-
-  /// Slice along axis 0: rows [begin, end). Copies.
-  Tensor slice0(std::int64_t begin, std::int64_t end) const;
 
   /// Gather rows along axis 0 by index. Copies.
   Tensor index_select0(std::span<const std::int64_t> indices) const;
@@ -121,8 +115,6 @@ class Tensor {
   float max() const;
   /// Index of the maximum element (first on ties). Requires numel > 0.
   std::int64_t argmax() const;
-  /// Per-row argmax of a rank-2 tensor.
-  std::vector<std::int64_t> argmax_rows() const;
 
   /// L2 norm over all elements.
   double l2_norm() const noexcept;

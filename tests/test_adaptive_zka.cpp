@@ -33,10 +33,12 @@ attack::AttackContext context_for(const std::vector<float>& global,
 }
 
 TEST(AdaptiveZka, NamesAndZeroKnowledge) {
-  AdaptiveZkaAttack r(models::Task::kFashion, ZkaVariant::kReverse,
-                      tiny_options(), {}, 1);
-  AdaptiveZkaAttack g(models::Task::kFashion, ZkaVariant::kGenerator,
-                      tiny_options(), {}, 1);
+  AdaptiveZkaAttack r(
+      std::make_unique<ZkaRAttack>(models::Task::kFashion, tiny_options(), 1),
+      {});
+  AdaptiveZkaAttack g(
+      std::make_unique<ZkaGAttack>(models::Task::kFashion, tiny_options(), 1),
+      {});
   EXPECT_EQ(r.name(), "ZKA-R-adaptive");
   EXPECT_EQ(g.name(), "ZKA-G-adaptive");
   EXPECT_FALSE(r.needs_benign_updates());
@@ -47,8 +49,8 @@ TEST(AdaptiveZka, LambdaClampedToConfiguredRange) {
   opts.classifier.lambda = 1000.0;
   AdaptiveOptions adaptive;
   adaptive.lambda_max = 32.0;
-  AdaptiveZkaAttack attack(models::Task::kFashion, ZkaVariant::kReverse,
-                           opts, adaptive, 2);
+  AdaptiveZkaAttack attack(
+      std::make_unique<ZkaRAttack>(models::Task::kFashion, opts, 2), adaptive);
   EXPECT_DOUBLE_EQ(attack.current_lambda(), 32.0);
 }
 
@@ -57,8 +59,9 @@ TEST(AdaptiveZka, EscalatesWhenGlobalIgnoresItsUpdate) {
   std::vector<float> global = nn::get_flat_params(*factory(3));
   AdaptiveOptions adaptive;
   adaptive.escalation = 2.0;
-  AdaptiveZkaAttack attack(models::Task::kFashion, ZkaVariant::kReverse,
-                           tiny_options(), adaptive, 4);
+  AdaptiveZkaAttack attack(
+      std::make_unique<ZkaRAttack>(models::Task::kFashion, tiny_options(), 4),
+      adaptive);
   const double lambda0 = attack.current_lambda();
 
   attack.craft(context_for(global, global));
@@ -76,8 +79,9 @@ TEST(AdaptiveZka, RelaxesWhenGlobalFollowsItsUpdate) {
   std::vector<float> global = nn::get_flat_params(*factory(5));
   AdaptiveOptions adaptive;
   adaptive.lambda_min = 0.5;
-  AdaptiveZkaAttack attack(models::Task::kFashion, ZkaVariant::kGenerator,
-                           tiny_options(), adaptive, 6);
+  AdaptiveZkaAttack attack(
+      std::make_unique<ZkaGAttack>(models::Task::kFashion, tiny_options(), 6),
+      adaptive);
   const double lambda0 = attack.current_lambda();
 
   const auto update = attack.craft(context_for(global, global));

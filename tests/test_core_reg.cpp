@@ -48,7 +48,8 @@ TEST(DistanceReg, GradientMatchesFiniteDifference) {
   const double lambda = 0.7;
   DistanceRegularizer reg(lambda);
   net.zero_grad();
-  const double value = reg.apply(net, global, prev);
+  std::vector<float> scratch;
+  const double value = reg.apply(net, global, prev, scratch);
   EXPECT_NEAR(value,
               lambda * DistanceRegularizer::value(w0, global, prev), 1e-5);
 
@@ -76,7 +77,8 @@ TEST(DistanceReg, ZeroLambdaIsNoOp) {
   const std::vector<float> global(static_cast<std::size_t>(nn::num_params(net)),
                                   1.0f);
   DistanceRegularizer reg(0.0);
-  EXPECT_DOUBLE_EQ(reg.apply(net, global, global), 0.0);
+  std::vector<float> scratch;
+  EXPECT_DOUBLE_EQ(reg.apply(net, global, global, scratch), 0.0);
   for (const float g : nn::get_flat_grads(net)) EXPECT_FLOAT_EQ(g, 0.0f);
 }
 
@@ -89,7 +91,8 @@ TEST(DistanceReg, NoGradientAtZeroDistance) {
   net.zero_grad();
   const std::vector<float> global = nn::get_flat_params(net);
   DistanceRegularizer reg(1.0);
-  const double v = reg.apply(net, global, global);
+  std::vector<float> scratch;
+  const double v = reg.apply(net, global, global, scratch);
   EXPECT_TRUE(std::isfinite(v));
   for (const float g : nn::get_flat_grads(net)) EXPECT_FLOAT_EQ(g, 0.0f);
 }

@@ -143,8 +143,9 @@ TEST(Loader, BatchesCoverEverySampleOnce) {
   DataLoader loader(d, 8);
   EXPECT_EQ(loader.num_batches(), 4);
   std::multiset<std::int64_t> seen;
+  Batch batch;
   for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-    const Batch batch = loader.batch(b);
+    loader.batch(b, batch);
     EXPECT_EQ(batch.images.dim(0),
               static_cast<std::int64_t>(batch.labels.size()));
     for (const auto y : batch.labels) seen.insert(y);
@@ -155,15 +156,19 @@ TEST(Loader, BatchesCoverEverySampleOnce) {
 TEST(Loader, LastBatchIsSmaller) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 4);
   DataLoader loader(d, 4);
-  EXPECT_EQ(loader.batch(2).labels.size(), 2u);
-  EXPECT_THROW(loader.batch(3), std::out_of_range);
+  Batch batch;
+  loader.batch(2, batch);
+  EXPECT_EQ(batch.labels.size(), 2u);
+  EXPECT_THROW(loader.batch(3, batch), std::out_of_range);
 }
 
 TEST(Loader, SubsetViewAndValidation) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 5);
   DataLoader loader(d, {1, 3, 5}, 2);
   EXPECT_EQ(loader.size(), 3);
-  EXPECT_EQ(loader.batch(0).labels[0], d.labels[1]);
+  Batch batch;
+  loader.batch(0, batch);
+  EXPECT_EQ(batch.labels[0], d.labels[1]);
   EXPECT_THROW(DataLoader(d, {42}, 2), std::out_of_range);
   EXPECT_THROW(DataLoader(d, 0), std::invalid_argument);
 }
@@ -176,7 +181,8 @@ TEST(Loader, FilledBatchHoldsTheSameRowsAndLabels) {
   Batch kept;  // refilled in place: 4 rows, 4, then the partial batch of 1
   for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
     loader.batch(b, kept);
-    const Batch fresh = loader.batch(b);
+    Batch fresh;
+    loader.batch(b, fresh);
     EXPECT_EQ(kept.labels, fresh.labels);
     EXPECT_EQ(kept.images.shape(), fresh.images.shape());
     ASSERT_EQ(kept.images.dim(0), static_cast<std::int64_t>(kept.labels.size()));
@@ -196,9 +202,12 @@ TEST(Loader, ShufflePermutesButPreservesMultiset) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 32, 6);
   DataLoader loader(d, 32);
   util::Rng rng(9);
-  const auto before = loader.batch(0).labels;
+  Batch batch;
+  loader.batch(0, batch);
+  const auto before = batch.labels;
   loader.shuffle(rng);
-  const auto after = loader.batch(0).labels;
+  loader.batch(0, batch);
+  const auto after = batch.labels;
   EXPECT_EQ(std::multiset<std::int64_t>(before.begin(), before.end()),
             std::multiset<std::int64_t>(after.begin(), after.end()));
 }

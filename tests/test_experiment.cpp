@@ -28,37 +28,31 @@ core::ZkaOptions tiny_zka() {
 }
 
 TEST(AttackKinds, NamesRoundTrip) {
-  const std::pair<const char*, AttackKind> cases[] = {
-      {"none", AttackKind::kNone},
-      {"fang", AttackKind::kFang},
-      {"lie", AttackKind::kLie},
-      {"minmax", AttackKind::kMinMax},
-      {"zka-r", AttackKind::kZkaR},
-      {"zka-g", AttackKind::kZkaG},
-      {"zka-r-static", AttackKind::kZkaRStatic},
-      {"zka-g-static", AttackKind::kZkaGStatic},
-      {"real-data", AttackKind::kRealData},
-      {"random-weights", AttackKind::kRandomWeights},
-      {"label-flip", AttackKind::kLabelFlip},
-  };
-  for (const auto& [name, kind] : cases) {
-    EXPECT_EQ(parse_attack_kind(name), kind) << name;
-    EXPECT_FALSE(std::string(attack_kind_name(kind)).empty());
+  // The table lists every enumerator once, in enum order.
+  ASSERT_EQ(attack_kinds().size(),
+            static_cast<std::size_t>(AttackKind::kFangKrum) + 1);
+  for (std::size_t i = 0; i < attack_kinds().size(); ++i) {
+    const AttackKindNames& entry = attack_kinds()[i];
+    EXPECT_EQ(static_cast<std::size_t>(entry.kind), i) << entry.cli_name;
+    EXPECT_EQ(parse_attack_kind(entry.cli_name), entry.kind) << entry.cli_name;
+    EXPECT_STREQ(attack_kind_name(entry.kind), entry.display_name);
+    EXPECT_FALSE(std::string(entry.display_name).empty());
   }
   EXPECT_THROW(parse_attack_kind("unknown"), std::invalid_argument);
 }
 
 TEST(MakeAttack, ConstructsEveryKind) {
   Simulation sim(tiny_config());
-  for (const AttackKind kind :
-       {AttackKind::kFang, AttackKind::kLie, AttackKind::kMinMax,
-        AttackKind::kZkaR, AttackKind::kZkaG, AttackKind::kZkaRStatic,
-        AttackKind::kZkaGStatic, AttackKind::kRealData,
-        AttackKind::kRandomWeights, AttackKind::kLabelFlip}) {
-    const auto attack = make_attack(kind, sim, tiny_zka(), 1);
-    ASSERT_NE(attack, nullptr) << attack_kind_name(kind);
+  for (const AttackKindNames& entry : attack_kinds()) {
+    const auto attack = make_attack(entry.kind, sim, tiny_zka(), 1);
+    if (entry.kind == AttackKind::kNone) {
+      EXPECT_EQ(attack, nullptr);
+      continue;
+    }
+    ASSERT_NE(attack, nullptr) << entry.display_name;
+    // The display names cannot drift from the classes' own names.
+    EXPECT_EQ(attack->name(), attack_kind_name(entry.kind));
   }
-  EXPECT_EQ(make_attack(AttackKind::kNone, sim, tiny_zka(), 1), nullptr);
 }
 
 TEST(MakeAttack, StaticVariantsDisableTraining) {

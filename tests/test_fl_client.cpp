@@ -37,7 +37,7 @@ TEST_F(ClientTest, TrainIsDeterministicGivenSeed) {
 }
 
 TEST_F(ClientTest, TrainImprovesLocalFit) {
-  ClientOptions opts;
+  data::LocalSgdOptions opts;
   opts.local_epochs = 3;
   opts.learning_rate = 0.05f;
   Client client(0, dataset_, all_indices(), factory_, opts);

@@ -275,7 +275,7 @@ TEST(Simulation, FlTrustRunsAsCustomDefense) {
     return std::make_unique<defense::FlTrust>(
         data::make_synthetic_dataset(config.task, 48, 777),
         models::task_model_factory(config.task),
-        defense::FlTrustOptions{}, 9);
+        data::LocalSgdOptions{}, 9);
   };
   Simulation sim(config);
   attack::RandomWeightsAttack attack(0.5f, 13);

@@ -130,11 +130,18 @@ TEST(CrossEntropy, BackwardBeforeForwardThrows) {
   EXPECT_THROW(loss.backward(), std::logic_error);
 }
 
-TEST(Accuracy, CountsArgmaxHits) {
+TEST(CorrectPredictions, CountsArgmaxHits) {
   Tensor logits({3, 2}, std::vector<float>{2, 1, 0, 5, 1, 0});
   const std::vector<std::int64_t> labels{0, 1, 1};
-  EXPECT_NEAR(accuracy(logits, labels), 2.0 / 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(accuracy(logits, {}), 0.0);
+  EXPECT_EQ(correct_predictions(logits, labels), 2);
+}
+
+TEST(CorrectPredictions, TakesEachRowsArgmax) {
+  Tensor logits({2, 3}, std::vector<float>{0, 5, 1, 9, 2, 3});
+  const std::vector<std::int64_t> argmax{1, 0};
+  EXPECT_EQ(correct_predictions(logits, argmax), 2);
+  const std::vector<std::int64_t> one{0};
+  EXPECT_THROW(correct_predictions(Tensor({3}), one), std::invalid_argument);
 }
 
 }  // namespace

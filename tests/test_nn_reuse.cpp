@@ -285,7 +285,7 @@ TEST(NnReuse, ClientScratchMatchesFreshTraining) {
       data::make_synthetic_dataset(models::Task::kFashion, 120, 21);
   const auto factory = models::task_model_factory(models::Task::kFashion);
   const std::vector<float> global = get_flat_params(*factory(3));
-  fl::TrainScratch scratch;
+  data::TrainScratch scratch;
   std::vector<float> update;
   std::int64_t first = 0;
   for (const std::int64_t shard : {45, 32, 7, 64, 45}) {

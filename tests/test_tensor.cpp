@@ -45,24 +45,6 @@ TEST(Tensor, MultiIndexAccessRowMajor) {
   EXPECT_FLOAT_EQ(t[5], 42.0f);
 }
 
-TEST(Tensor, ReshapePreservesDataAndChecksNumel) {
-  Tensor t({2, 3}, std::vector<float>{0, 1, 2, 3, 4, 5});
-  const Tensor r = t.reshape({3, 2});
-  EXPECT_EQ(r.dim(0), 3);
-  EXPECT_FLOAT_EQ(r.at({2, 1}), 5.0f);
-  EXPECT_THROW(t.reshape({4, 2}), std::invalid_argument);
-}
-
-TEST(Tensor, Slice0) {
-  Tensor t({3, 2}, std::vector<float>{0, 1, 2, 3, 4, 5});
-  const Tensor s = t.slice0(1, 3);
-  EXPECT_EQ(s.dim(0), 2);
-  EXPECT_FLOAT_EQ(s[0], 2.0f);
-  EXPECT_FLOAT_EQ(s[3], 5.0f);
-  EXPECT_THROW(t.slice0(2, 4), std::out_of_range);
-  EXPECT_THROW(t.slice0(-1, 2), std::out_of_range);
-}
-
 TEST(Tensor, IndexSelect0) {
   Tensor t({3, 2}, std::vector<float>{0, 1, 2, 3, 4, 5});
   const std::vector<std::int64_t> idx{2, 0, 2};
@@ -108,16 +90,6 @@ TEST(Tensor, Reductions) {
   EXPECT_FLOAT_EQ(t.max(), 7.0f);
   EXPECT_EQ(t.argmax(), 2);
   EXPECT_NEAR(t.l2_norm(), std::sqrt(1.0 + 4.0 + 49.0), 1e-6);
-}
-
-TEST(Tensor, ArgmaxRows) {
-  Tensor t({2, 3}, std::vector<float>{0, 5, 1, 9, 2, 3});
-  const auto idx = t.argmax_rows();
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx[0], 1);
-  EXPECT_EQ(idx[1], 0);
-  Tensor bad({3});
-  EXPECT_THROW(bad.argmax_rows(), std::invalid_argument);
 }
 
 TEST(Tensor, UniformFillWithinBounds) {
