@@ -1,7 +1,9 @@
 // Micro-benchmarks backing the paper's Sec. IV-E complexity analysis:
 // the per-round cost of crafting a ZKA-R / ZKA-G update vs a benign
 // client's local training, plus the |S| sensitivity ablation from
-// DESIGN.md.
+// DESIGN.md. Every benchmark reports wall time and the CPU time of the
+// whole process: a craft runs part of its work on the worker pool, which
+// the main thread's CPU clock would not count.
 #include <benchmark/benchmark.h>
 
 #include "core/zka_g.h"
@@ -48,7 +50,10 @@ void BM_BenignClientRound(benchmark::State& state) {
     benchmark::DoNotOptimize(update.data());
   }
 }
-BENCHMARK(BM_BenignClientRound)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_BenignClientRound)
+    ->Arg(16)->Arg(32)->Arg(64)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_ZkaRCraft(benchmark::State& state) {
   const auto factory = models::task_model_factory(models::Task::kFashion);
@@ -61,7 +66,10 @@ void BM_ZkaRCraft(benchmark::State& state) {
     benchmark::DoNotOptimize(update.data());
   }
 }
-BENCHMARK(BM_ZkaRCraft)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_ZkaRCraft)
+    ->Arg(16)->Arg(32)->Arg(64)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_ZkaGCraft(benchmark::State& state) {
   const auto factory = models::task_model_factory(models::Task::kFashion);
@@ -74,7 +82,10 @@ void BM_ZkaGCraft(benchmark::State& state) {
     benchmark::DoNotOptimize(update.data());
   }
 }
-BENCHMARK(BM_ZkaGCraft)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_ZkaGCraft)
+    ->Arg(16)->Arg(32)->Arg(64)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_ZkaRFilterKernelSweep(benchmark::State& state) {
   const auto factory = models::task_model_factory(models::Task::kFashion);
@@ -88,7 +99,10 @@ void BM_ZkaRFilterKernelSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(update.data());
   }
 }
-BENCHMARK(BM_ZkaRFilterKernelSweep)->Arg(3)->Arg(5)->Arg(7);
+BENCHMARK(BM_ZkaRFilterKernelSweep)
+    ->Arg(3)->Arg(5)->Arg(7)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 }  // namespace
 

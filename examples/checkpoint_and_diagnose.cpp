@@ -27,6 +27,7 @@ struct MiniFederation {
   models::ModelFactory factory;
   data::Dataset train;
   data::Dataset test;
+  std::vector<std::vector<std::int64_t>> parts;  // the clients' shards
   std::vector<fl::Client> clients;
   std::int64_t num_malicious = 0;
   std::vector<float> global;
@@ -41,11 +42,11 @@ struct MiniFederation {
     fed.test = data::make_synthetic_dataset(models::Task::kFashion, 250,
                                             seed ^ 0x7e57);
     util::Rng part_rng(seed);
-    const auto parts =
+    fed.parts =
         data::dirichlet_partition(fed.train.labels, 10, 40, 0.5, part_rng);
     for (std::int64_t c = 0; c < 40; ++c) {
       fed.clients.emplace_back(c, fed.train,
-                               parts[static_cast<std::size_t>(c)],
+                               fed.parts[static_cast<std::size_t>(c)],
                                fed.factory, data::LocalSgdOptions{});
     }
     fed.num_malicious = 8;  // 20%

@@ -101,16 +101,15 @@ double run_with_aggregator(defense::Aggregator& aggregator,
   std::vector<float> global = nn::get_flat_params(*factory(seed));
   std::vector<float> prev = global;
 
+  // The clients borrow their shards from `parts`.
+  util::Rng part_rng(seed);
+  const auto parts = data::dirichlet_partition(
+      sim.train_data().labels, 10, config.num_clients, 0.5, part_rng);
   std::vector<fl::Client> clients;
-  {
-    util::Rng rng(seed);
-    auto parts = data::dirichlet_partition(sim.train_data().labels, 10,
-                                           config.num_clients, 0.5, rng);
-    for (std::int64_t c = 0; c < config.num_clients; ++c) {
-      clients.emplace_back(c, sim.train_data(),
-                           parts[static_cast<std::size_t>(c)], factory,
-                           config.client);
-    }
+  for (std::int64_t c = 0; c < config.num_clients; ++c) {
+    clients.emplace_back(c, sim.train_data(),
+                         parts[static_cast<std::size_t>(c)], factory,
+                         config.client);
   }
 
   util::Rng rng(seed ^ 0xc0ffee);

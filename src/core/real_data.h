@@ -21,7 +21,7 @@ class RealDataAttack : public ZkaAttack {
 
  private:
   /// Step 1 is the attacker's own images, as they are.
-  const tensor::Tensor& synthesize(nn::Sequential& /*classifier*/) override {
+  const tensor::Tensor& synthesize(FrozenReplicas /*frozen*/) override {
     return dataset_.images;
   }
 

@@ -2,6 +2,7 @@
 
 #include "util/check.h"
 #include "util/prof.h"
+#include "util/thread_pool.h"
 
 namespace zka::core {
 
@@ -44,8 +45,17 @@ attack::Update ZkaAttack::craft(const attack::AttackContext& ctx) {
   }
   nn::Sequential& classifier =
       ctx.model_replica != nullptr ? *ctx.model_replica : *classifier_;
-  nn::set_flat_params(classifier, ctx.global_model);
-  images_ = &synthesize(classifier);
+  if (frozen_.empty()) {
+    frozen_.resize(util::global_thread_pool().size() + 1);
+    for (auto& replica : frozen_) {
+      replica = factory_(0);
+      replica->freeze();
+    }
+  }
+  for (const auto& replica : frozen_) {
+    nn::set_flat_params(*replica, ctx.global_model);
+  }
+  images_ = &synthesize(frozen_);
 
   // Step 2: adversarial classifier training on (S, Ỹ) with L_d.
   nn::set_flat_params(classifier, ctx.global_model);

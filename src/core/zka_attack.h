@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "attack/attack.h"
@@ -26,10 +27,10 @@ class ZkaAttack : public attack::Attack {
   ZkaAttack(const ZkaAttack&) = delete;
   ZkaAttack& operator=(const ZkaAttack&) = delete;
 
-  /// Loads w(t) into the working classifier (the replica the caller lends
-  /// in ctx, else one of its own kept across crafts), runs step 1 on it,
-  /// reloads w(t), trains it on the step-1 images and returns its
-  /// parameters.
+  /// Loads w(t) into the frozen classifier replicas and runs step 1 on
+  /// them, then loads w(t) into the working classifier (the replica the
+  /// caller lends in ctx, else one of its own kept across crafts), trains
+  /// it on the step-1 images and returns its parameters.
   attack::Update craft(const attack::AttackContext& ctx) final;
 
   /// Decoy class Ỹ used for every image.
@@ -59,9 +60,13 @@ class ZkaAttack : public attack::Attack {
             std::uint64_t model_salt, const char* craft_scope,
             const char* train_scope);
 
+  using FrozenReplicas = std::span<const std::unique_ptr<nn::Sequential>>;
+
   /// Step 1: the images step 2 trains on, valid until the next call.
-  /// `classifier` holds w(t) and may be run freely; step 2 reloads it.
-  virtual const tensor::Tensor& synthesize(nn::Sequential& classifier) = 0;
+  /// `frozen` holds one frozen classifier replica per participant of the
+  /// global thread pool, indexed by ThreadPool::participant_index(), each
+  /// loaded with w(t); a participant may run its own replica freely.
+  virtual const tensor::Tensor& synthesize(FrozenReplicas frozen) = 0;
 
   models::ImageSpec spec_;
   ZkaOptions options_;
@@ -76,8 +81,11 @@ class ZkaAttack : public attack::Attack {
   const char* craft_scope_;
   const char* train_scope_;
   // The working classifier when the caller lends no replica; built by the
-  // first such craft.
+  // first such craft. Never frozen.
   std::unique_ptr<nn::Sequential> classifier_;
+  // Step 1's frozen replicas, one per pool participant; built by the first
+  // craft and reloaded by every craft.
+  std::vector<std::unique_ptr<nn::Sequential>> frozen_;
   const tensor::Tensor* images_ = nullptr;
 };
 

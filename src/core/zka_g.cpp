@@ -24,7 +24,8 @@ ZkaGAttack::ZkaGAttack(models::Task task, ZkaOptions options,
                                    gen_rng);
 }
 
-const tensor::Tensor& ZkaGAttack::synthesize(nn::Sequential& classifier) {
+const tensor::Tensor& ZkaGAttack::synthesize(FrozenReplicas frozen) {
+  nn::Sequential& classifier = *frozen[0];
   const std::vector<std::int64_t> decoy_labels(
       static_cast<std::size_t>(options_.synthetic_size), decoy_label());
   loss_history_.clear();
@@ -36,7 +37,6 @@ const tensor::Tensor& ZkaGAttack::synthesize(nn::Sequential& classifier) {
     for (std::int64_t epoch = 0; epoch < options_.synthesis_epochs; ++epoch) {
       ZKA_PROF_SCOPE("zka_g/generator_epoch");
       optimizer.zero_grad();
-      classifier.zero_grad();
       const double scaled = loss.forward(
           classifier.forward(generator_->forward(latent_)), decoy_labels);
       generator_->backward(classifier.backward(loss.backward()));

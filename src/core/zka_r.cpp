@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/prof.h"
+#include "util/thread_pool.h"
 
 namespace zka::core {
 
@@ -11,7 +12,6 @@ double synthesis_epoch(nn::Module& filter, nn::Sgd& optimizer,
                        nn::Module& classifier, nn::SoftmaxCrossEntropy& loss,
                        const tensor::Tensor& a, const tensor::Tensor& target) {
   optimizer.zero_grad();
-  classifier.zero_grad();
   const double l = loss.forward(classifier.forward(filter.forward(a)), target);
   // Backprop through the frozen classifier into the filter.
   filter.backward(classifier.backward(loss.backward()));
@@ -24,48 +24,65 @@ ZkaRAttack::ZkaRAttack(models::Task task, ZkaOptions options,
     : ZkaAttack(task, options, seed, 0x5ea, "zka_r/craft",
                 "zka_r/classifier_train") {}
 
-const tensor::Tensor& ZkaRAttack::synthesize(nn::Sequential& classifier) {
+const tensor::Tensor& ZkaRAttack::synthesize(FrozenReplicas frozen) {
   ZKA_CHECK(options_.synthetic_size > 0 && options_.synthesis_epochs >= 0,
             "ZKA-R: synthetic_size=%lld, synthesis_epochs=%lld out of range",
             static_cast<long long>(options_.synthetic_size),
             static_cast<long long>(options_.synthesis_epochs));
 
   // Ambiguous soft target Y_D = [1/L, ..., 1/L] (per image, batch of 1).
-  tensor::Tensor ambiguous({1, spec_.num_classes},
-                           1.0f / static_cast<float>(spec_.num_classes));
+  const tensor::Tensor ambiguous({1, spec_.num_classes},
+                                 1.0f / static_cast<float>(spec_.num_classes));
 
   const std::int64_t s_count = options_.synthetic_size;
-  images_ =
-      tensor::Tensor({s_count, spec_.channels, spec_.height, spec_.width});
-  loss_history_.assign(
-      static_cast<std::size_t>(std::max<std::int64_t>(
-          options_.train_synthesis ? options_.synthesis_epochs : 0, 0)),
-      0.0);
+  const std::int64_t epochs =
+      options_.train_synthesis ? options_.synthesis_epochs : 0;
+  images_.resize({s_count, spec_.channels, spec_.height, spec_.width});
 
-  nn::SoftmaxCrossEntropy loss;
-  const std::int64_t plane = spec_.pixels();
+  // The samples' draws from rng_, in the order one sample after another
+  // would make them: its static random image A, then its filter's stream.
+  sources_.resize(static_cast<std::size_t>(s_count));
+  filter_rngs_.resize(static_cast<std::size_t>(s_count));
   for (std::int64_t s = 0; s < s_count; ++s) {
-    ZKA_PROF_SCOPE("zka_r/synthesize_sample");
-    // Static random image A; only the filter layer is trainable.
-    const tensor::Tensor a = tensor::Tensor::uniform(
+    const auto i = static_cast<std::size_t>(s);
+    sources_[i] = tensor::Tensor::uniform(
         {1, spec_.channels, spec_.height, spec_.width}, rng_, -1.0f, 1.0f);
-    util::Rng filter_rng = rng_.split(0xf117 + static_cast<std::uint64_t>(s));
-    auto filter =
-        models::make_filter_layer(spec_, options_.filter_kernel, filter_rng);
-    nn::Sgd optimizer(*filter, {.learning_rate = options_.synthesis_lr});
+    filter_rngs_[i] = rng_.split(0xf117 + static_cast<std::uint64_t>(s));
+  }
 
-    if (options_.train_synthesis) {
-      for (std::int64_t epoch = 0; epoch < options_.synthesis_epochs;
-           ++epoch) {
-        const double l = synthesis_epoch(*filter, optimizer, classifier, loss,
-                                         a, ambiguous);
-        loss_history_[static_cast<std::size_t>(epoch)] +=
-            l / static_cast<double>(s_count);
-      }
+  // Each sample trains its own filter (the only trainable layer) through
+  // its participant's frozen classifier and writes its own image row and
+  // loss row.
+  sample_losses_.resize(static_cast<std::size_t>(s_count * epochs));
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::int64_t plane = spec_.pixels();
+  pool.parallel_for(static_cast<std::size_t>(s_count), [&](std::size_t i) {
+    ZKA_PROF_SCOPE("zka_r/synthesize_sample");
+    nn::Sequential& classifier = *frozen[pool.participant_index()];
+    auto filter = models::make_filter_layer(spec_, options_.filter_kernel,
+                                            filter_rngs_[i]);
+    nn::Sgd optimizer(*filter, {.learning_rate = options_.synthesis_lr});
+    nn::SoftmaxCrossEntropy loss;
+    const tensor::Tensor& a = sources_[i];
+    double* losses =
+        sample_losses_.data() + i * static_cast<std::size_t>(epochs);
+    for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
+      losses[epoch] =
+          synthesis_epoch(*filter, optimizer, classifier, loss, a, ambiguous);
     }
     const tensor::Tensor& b = filter->forward(a);
     std::copy(b.data().begin(), b.data().end(),
-              images_.data().begin() + s * plane);
+              images_.data().begin() + static_cast<std::int64_t>(i) * plane);
+  });
+
+  // Summed in sample order, so the bits do not depend on the pool size.
+  loss_history_.assign(static_cast<std::size_t>(epochs), 0.0);
+  for (std::int64_t s = 0; s < s_count; ++s) {
+    for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
+      loss_history_[static_cast<std::size_t>(epoch)] +=
+          sample_losses_[static_cast<std::size_t>(s * epochs + epoch)] /
+          static_cast<double>(s_count);
+    }
   }
   return images_;
 }

@@ -9,6 +9,8 @@
 // malicious classifier with the distance-regularized loss.
 #pragma once
 
+#include <vector>
+
 #include "core/zka_attack.h"
 #include "nn/loss.h"
 #include "nn/sgd.h"
@@ -16,11 +18,12 @@
 namespace zka::core {
 
 /// One filter-training epoch of ZKA-R's synthesis: push the random image
-/// `a` through `filter` and the frozen `classifier`, take the cross-entropy
+/// `a` through `filter` and the `classifier`, take the cross-entropy
 /// against the soft `target`, backpropagate through the classifier into the
-/// filter and step the filter only (the classifier's gradients are zeroed,
-/// never applied). Returns the loss. Allocation-free once the three have
-/// seen the shapes.
+/// filter and step the filter only. The classifier is meant to be frozen
+/// (Module::freeze), so the backward computes no gradient of its own; an
+/// unfrozen one accumulates gradients that nothing reads. Returns the loss.
+/// Allocation-free once the three have seen the shapes.
 double synthesis_epoch(nn::Module& filter, nn::Sgd& optimizer,
                        nn::Module& classifier, nn::SoftmaxCrossEntropy& loss,
                        const tensor::Tensor& a, const tensor::Tensor& target);
@@ -34,9 +37,18 @@ class ZkaRAttack : public ZkaAttack {
   }
 
  private:
-  const tensor::Tensor& synthesize(nn::Sequential& classifier) override;
+  /// Draws every sample's random image A and filter stream from rng_ in
+  /// sample order, trains the |S| filters on the pool (each sample on its
+  /// participant's replica) and sums the per-epoch losses in sample order,
+  /// so the result does not depend on the pool size.
+  const tensor::Tensor& synthesize(FrozenReplicas frozen) override;
 
   tensor::Tensor images_;
+  // Per sample, kept across crafts: the random image A, the filter's
+  // initialization stream, and the per-epoch losses ([|S|, epochs]).
+  std::vector<tensor::Tensor> sources_;
+  std::vector<util::Rng> filter_rngs_;
+  std::vector<double> sample_losses_;
 };
 
 }  // namespace zka::core

@@ -42,6 +42,12 @@ class DataLoader {
     return static_cast<std::int64_t>(indices_.size());
   }
 
+  /// Hands the index list back (in its current order) and leaves the
+  /// loader empty, so a caller can lend it a kept buffer by moving it in.
+  std::vector<std::int64_t> release_indices() && {
+    return std::move(indices_);
+  }
+
  private:
   const Dataset* dataset_;
   std::vector<std::int64_t> indices_;

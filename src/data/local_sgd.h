@@ -21,13 +21,15 @@ struct LocalSgdOptions {
 };
 
 /// What local_sgd reuses from one call to the next: a model (built on first
-/// use when none is lent) and the batch and loss buffers. A training thread
-/// that keeps one across calls trains allocation-free in steady state; it
-/// must not be shared by concurrent calls.
+/// use when none is lent) and the batch and loss buffers, plus the shard
+/// index buffer fl::Client::train shuffles. A training thread that keeps
+/// one across calls trains allocation-free in steady state; it must not be
+/// shared by concurrent calls.
 struct TrainScratch {
   std::unique_ptr<nn::Sequential> model;
   Batch batch;
   nn::SoftmaxCrossEntropy loss;
+  std::vector<std::int64_t> indices;
 };
 
 /// Loads `global` into a model, runs options.local_epochs epochs of

@@ -102,26 +102,29 @@ HashedShardSpec::HashedShardSpec(std::int64_t dataset_size,
 }
 
 std::vector<std::int64_t> HashedShardSpec::shard(std::int64_t client) const {
+  std::vector<std::int64_t> indices;
+  shard(client, indices);
+  return indices;
+}
+
+void HashedShardSpec::shard(std::int64_t client,
+                            std::vector<std::int64_t>& out) const {
   ZKA_CHECK(client >= 0 && client < population_,
             "HashedShardSpec: client %lld outside [0, %lld)",
             static_cast<long long>(client),
             static_cast<long long>(population_));
-  if (shard_size_ == 0) return {};
+  if (shard_size_ == 0) {
+    out.clear();
+    return;
+  }
   // Each client gets its own SplitMix64-derived stream, so shards are
   // independent of computation order and of every other client.
   std::uint64_t key =
       seed_ ^ (static_cast<std::uint64_t>(client) * 0x9e3779b97f4a7c15ULL +
                0x7f4a7c15ULL);
   util::Rng rng(util::splitmix64(key));
-  const auto draw = rng.sample_without_replacement(
-      static_cast<std::size_t>(dataset_size_),
-      static_cast<std::size_t>(shard_size_));
-  std::vector<std::int64_t> indices;
-  indices.reserve(draw.size());
-  for (const std::size_t i : draw) {
-    indices.push_back(static_cast<std::int64_t>(i));
-  }
-  return indices;
+  rng.sample_without_replacement(static_cast<std::size_t>(dataset_size_),
+                                 static_cast<std::size_t>(shard_size_), out);
 }
 
 }  // namespace zka::data

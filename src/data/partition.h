@@ -49,6 +49,10 @@ class HashedShardSpec {
   /// Client `client`'s shard indices. Deterministic in (seed, client);
   /// independent of any other client's shard having been computed.
   std::vector<std::int64_t> shard(std::int64_t client) const;
+  /// The same shard into `out`, also its working space (see
+  /// Rng::sample_without_replacement): a kept `out` makes it
+  /// allocation-free.
+  void shard(std::int64_t client, std::vector<std::int64_t>& out) const;
 
  private:
   std::int64_t dataset_size_ = 0;

@@ -53,7 +53,10 @@ std::vector<std::int64_t> ClientRegistry::shard(std::int64_t id) const {
 }
 
 Client ClientRegistry::client(std::int64_t id) const {
-  return Client(id, *dataset_, shard(id), factory_, options_);
+  check_id(id);
+  if (lazy()) return Client(id, *dataset_, *spec_, factory_, options_);
+  return Client(id, *dataset_, parts_[static_cast<std::size_t>(id)], factory_,
+                options_);
 }
 
 }  // namespace zka::fl

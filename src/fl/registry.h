@@ -54,8 +54,9 @@ class ClientRegistry {
   /// Client `id`'s shard indices (computed on demand when lazy).
   std::vector<std::int64_t> shard(std::int64_t id) const;
 
-  /// Materializes client `id`. Cheap: the client owns a copy of its shard
-  /// index list and borrows everything else.
+  /// Client `id`, borrowing its shard (or the spec that computes it) and
+  /// everything else from the registry, which must outlive it. Allocates
+  /// nothing.
   Client client(std::int64_t id) const;
 
  private:

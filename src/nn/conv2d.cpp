@@ -93,8 +93,9 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
             static_cast<long long>(n), static_cast<long long>(out_channels_),
             static_cast<long long>(oh), static_cast<long long>(ow));
 
-  // Gather dY into [OC, N*spatial] (the layout the batched GEMMs want) and
-  // accumulate the bias gradient along the way.
+  // Gather dY into [OC, N*spatial] (the layout the batched GEMMs want) and,
+  // unless frozen, accumulate the bias gradient along the way.
+  const bool grads = !frozen();
   std::vector<float>& buf = gemm_staging();
   buf.resize(static_cast<std::size_t>(out_channels_ * cols));
   for (std::int64_t c = 0; c < out_channels_; ++c) {
@@ -105,15 +106,19 @@ const Tensor& Conv2d::backward(const Tensor& grad_output) {
       const float* src = grad_output.raw() + (s * out_channels_ + c) * spatial;
       std::memcpy(dst + s * spatial, src,
                   static_cast<std::size_t>(spatial) * sizeof(float));
-      for (std::int64_t i = 0; i < spatial; ++i) acc += src[i];
+      if (grads) {
+        for (std::int64_t i = 0; i < spatial; ++i) acc += src[i];
+      }
     }
-    bias_.grad[c] += acc;
+    if (grads) bias_.grad[c] += acc;
   }
 
   // dW += dY @ colᵀ in one GEMM over the whole batch; col_ still holds the
   // input's columns from forward().
-  tensor::gemm_a_bt(out_channels_, patch, cols, 1.0f, buf.data(), col_.data(),
-                    1.0f, weight_.grad.raw());
+  if (grads) {
+    tensor::gemm_a_bt(out_channels_, patch, cols, 1.0f, buf.data(),
+                      col_.data(), 1.0f, weight_.grad.raw());
+  }
 
   // dcol = Wᵀ @ dY into col_ (its columns are spent), then scatter every
   // sample's columns back to the image. col2im accumulates, so the image

@@ -103,19 +103,21 @@ const Tensor& ConvTranspose2d::backward(const Tensor& grad_output) {
   col_.resize(static_cast<std::size_t>(patch * cols));
   tensor::im2col_batched(geometry_, grad_output.raw(), n, col_.data());
 
-  // dW[IC, OCKK] += xperm[IC, N*HW] @ colᵀ; xperm_ is cached from forward.
-  tensor::gemm_a_bt(in_channels_, patch, cols, 1.0f, xperm_.data(),
-                    col_.data(), 1.0f, weight_.grad.raw());
+  if (!frozen()) {
+    // dW[IC, OCKK] += xperm[IC, N*HW] @ colᵀ; xperm_ is cached from forward.
+    tensor::gemm_a_bt(in_channels_, patch, cols, 1.0f, xperm_.data(),
+                      col_.data(), 1.0f, weight_.grad.raw());
 
-  // db += spatial sums of the output gradient.
-  for (std::int64_t s = 0; s < n; ++s) {
-    // Bias-gradient reduction over dY planes
-    const float* gout = grad_output.raw() + s * out_channels_ * spatial_out;
-    for (std::int64_t c = 0; c < out_channels_; ++c) {
-      const float* plane = gout + c * spatial_out;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < spatial_out; ++i) acc += plane[i];
-      bias_.grad[c] += acc;
+    // db += spatial sums of the output gradient.
+    for (std::int64_t s = 0; s < n; ++s) {
+      // Bias-gradient reduction over dY planes
+      const float* gout = grad_output.raw() + s * out_channels_ * spatial_out;
+      for (std::int64_t c = 0; c < out_channels_; ++c) {
+        const float* plane = gout + c * spatial_out;
+        float acc = 0.0f;
+        for (std::int64_t i = 0; i < spatial_out; ++i) acc += plane[i];
+        bias_.grad[c] += acc;
+      }
     }
   }
 

@@ -55,15 +55,17 @@ const Tensor& Linear::backward(const Tensor& grad_output) {
             "Linear backward: grad %s, want [%lld, %lld]",
             tensor::shape_to_string(grad_output.shape()).c_str(),
             static_cast<long long>(n), static_cast<long long>(out_features_));
-  // dW += dYᵀ @ X ; dY is [N, out], X is [N, in].
-  tensor::gemm_at_b(out_features_, in_features_, n, 1.0f, grad_output.raw(),
-                    input.raw(), 1.0f, weight_.grad.raw());
-  // db += column sums of dY.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto row = grad_output.data().subspan(
-        static_cast<std::size_t>(i * out_features_),
-        static_cast<std::size_t>(out_features_));
-    for (std::int64_t j = 0; j < out_features_; ++j) bias_.grad[j] += row[j];
+  if (!frozen()) {
+    // dW += dYᵀ @ X ; dY is [N, out], X is [N, in].
+    tensor::gemm_at_b(out_features_, in_features_, n, 1.0f, grad_output.raw(),
+                      input.raw(), 1.0f, weight_.grad.raw());
+    // db += column sums of dY.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto row = grad_output.data().subspan(
+          static_cast<std::size_t>(i * out_features_),
+          static_cast<std::size_t>(out_features_));
+      for (std::int64_t j = 0; j < out_features_; ++j) bias_.grad[j] += row[j];
+    }
   }
   // dX = dY @ W.
   act_.resize({n, in_features_});

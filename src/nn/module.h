@@ -4,9 +4,9 @@
 // needs during forward, and backward(grad_output) both accumulates
 // parameter gradients and returns the gradient w.r.t. the module input.
 // That input gradient is exactly what the ZKA attacks exploit — they
-// backpropagate through a *frozen* global classifier into a trainable
-// filter layer (ZKA-R) or generator (ZKA-G) by simply not stepping the
-// classifier's parameters.
+// backpropagate through a frozen global classifier into a trainable
+// filter layer (ZKA-R) or generator (ZKA-G). freeze() makes such a
+// classifier compute that input gradient and nothing else.
 //
 // Buffers: every layer owns its output and input-gradient buffers and
 // resizes them in place, so a module that has seen a batch shape once
@@ -56,7 +56,18 @@ class Module {
   /// shape. Valid to call multiple times only after another forward().
   /// The returned reference follows forward()'s rule, and a backward() may
   /// reuse the storage of this module's forward output.
+  ///
+  /// On a frozen module (see freeze()) it only returns dLoss/dInput.
   virtual const Tensor& backward(const Tensor& grad_output) = 0;
+
+  /// Freezes the module for good: from now on backward() returns the same
+  /// dLoss/dInput, bit for bit, as it would unfrozen, but computes no
+  /// parameter gradient and leaves every Parameter::grad as it is. A layer
+  /// with parameters skips its weight and bias gradient work; a container
+  /// freezes every layer it holds. There is no unfreeze: a model that
+  /// trains is never frozen.
+  virtual void freeze() { frozen_ = true; }
+  bool frozen() const noexcept { return frozen_; }
 
   /// Learnable parameters in a stable order (empty for stateless layers).
   /// A view of pointers the module keeps, so walking it never allocates.
@@ -68,6 +79,9 @@ class Module {
   void zero_grad() {
     for (Parameter* p : parameters()) p->grad.fill(0.0f);
   }
+
+ private:
+  bool frozen_ = false;
 };
 
 /// Total number of scalar parameters.

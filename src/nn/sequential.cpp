@@ -9,6 +9,11 @@ Module& Sequential::add(std::unique_ptr<Module> layer) {
   return *layers_.back();
 }
 
+void Sequential::freeze() {
+  Module::freeze();
+  for (const auto& layer : layers_) layer->freeze();
+}
+
 const Tensor& Sequential::forward(const Tensor& input) {
   const Tensor* x = &input;
   for (const auto& layer : layers_) x = &layer->forward(*x);

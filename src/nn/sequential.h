@@ -29,6 +29,8 @@ class Sequential : public Module {
   /// there are no layers).
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
+  /// Freezes itself and every layer it holds.
+  void freeze() override;
   std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "Sequential"; }
 

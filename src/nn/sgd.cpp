@@ -5,7 +5,16 @@
 namespace zka::nn {
 
 Sgd::Sgd(std::vector<Parameter*> params, SgdOptions options)
-    : params_(std::move(params)), options_(options) {
+    : owned_(std::move(params)), params_(owned_), options_(options) {
+  init_velocity();
+}
+
+Sgd::Sgd(Module& module, SgdOptions options)
+    : params_(module.parameters()), options_(options) {
+  init_velocity();
+}
+
+void Sgd::init_velocity() {
   if (options_.momentum != 0.0f) {
     velocity_.reserve(params_.size());
     for (const Parameter* p : params_) {

@@ -17,11 +17,14 @@ struct SgdOptions {
 
 class Sgd {
  public:
+  /// Steps `params`, a list the optimizer keeps.
   Sgd(std::vector<Parameter*> params, SgdOptions options);
-  explicit Sgd(Module& module, SgdOptions options)
-      : Sgd(std::vector<Parameter*>(module.parameters().begin(),
-                                    module.parameters().end()),
-            options) {}
+  /// Steps `module`'s parameters through the list the module keeps, which
+  /// must outlive the optimizer; without momentum this allocates nothing.
+  explicit Sgd(Module& module, SgdOptions options);
+  // params_ may point into owned_.
+  Sgd(const Sgd&) = delete;
+  Sgd& operator=(const Sgd&) = delete;
 
   /// Applies one update from the accumulated gradients.
   void step();
@@ -33,7 +36,10 @@ class Sgd {
   void set_learning_rate(float lr) noexcept { options_.learning_rate = lr; }
 
  private:
-  std::vector<Parameter*> params_;
+  void init_velocity();
+
+  std::vector<Parameter*> owned_;  // empty when the list is a module's
+  std::span<Parameter* const> params_;
   SgdOptions options_;
   std::vector<Tensor> velocity_;  // allocated lazily when momentum != 0
 };

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 namespace zka::util {
 
@@ -127,39 +126,69 @@ std::vector<double> Rng::dirichlet(const std::vector<double>& alphas) noexcept {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
+  std::vector<std::size_t> sample;
+  sample_without_replacement(n, k, sample);
+  return sample;
+}
+
+template <typename Index>
+void Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                     std::vector<Index>& out) {
   assert(k <= n);
   if (n <= kDenseSampleMax) {
     // Partial Fisher-Yates over a materialized pool. Kept for small
     // populations so historical seeds reproduce the exact same client
     // selections (the committed reference benches depend on them).
-    std::vector<std::size_t> pool(n);
-    for (std::size_t i = 0; i < n; ++i) pool[i] = i;
+    out.resize(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<Index>(i);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j = i + uniform_index(n - i);
-      std::swap(pool[i], pool[j]);
+      std::swap(out[i], out[j]);
     }
-    pool.resize(k);
-    return pool;
+    out.resize(k);
+    return;
   }
-  // Floyd's algorithm (hash-set variant): for j = n-k .. n-1 draw
-  // t ~ U[0, j]; take t unless already taken, else take j. Every k-subset
-  // is equally likely, and cost is O(k) regardless of n. The returned
-  // order is the insertion order, which is deterministic in the engine
-  // state (it is *not* a uniformly random permutation of the subset —
-  // callers that need one shuffle the result).
-  std::vector<std::size_t> sample;
-  sample.reserve(k);
-  // zka-lint: allow(unordered-container) -- membership only, never iterated
-  std::unordered_set<std::size_t> chosen;
-  chosen.reserve(k * 2);
-  for (std::size_t j = n - k; j < n; ++j) {
+  // Floyd's algorithm: for j = n-k .. n-1 draw t ~ U[0, j]; take t unless
+  // already taken, else take j. Every k-subset is equally likely, and cost
+  // is O(k) regardless of n. The order is the insertion order, which is
+  // deterministic in the engine state (it is *not* a uniformly random
+  // permutation of the subset — callers that need one shuffle the result).
+  // "Already taken" is an open-addressing set of at least 2k slots kept in
+  // `out` behind the sample; n marks an empty slot.
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * k) ++bits;
+  const std::size_t slots = std::size_t{1} << bits;
+  out.assign(k + slots, static_cast<Index>(n));
+  Index* const taken = out.data() + k;
+  // Inserts `v` unless present; returns whether it was absent.
+  const auto insert = [&](std::size_t v) {
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - bits));
+    for (;; h = (h + 1) & (slots - 1)) {
+      if (taken[h] == static_cast<Index>(v)) return false;
+      if (taken[h] == static_cast<Index>(n)) {
+        taken[h] = static_cast<Index>(v);
+        return true;
+      }
+    }
+  };
+  for (std::size_t j = n - k, i = 0; j < n; ++j, ++i) {
     const std::size_t t =
         static_cast<std::size_t>(uniform_index(static_cast<std::uint64_t>(j) + 1));
-    const std::size_t pick = chosen.contains(t) ? j : t;
-    chosen.insert(pick);
-    sample.push_back(pick);
+    std::size_t pick = t;
+    if (!insert(t)) {
+      pick = j;  // j exceeds every earlier pick, so it is free
+      insert(j);
+    }
+    out[i] = static_cast<Index>(pick);
   }
-  return sample;
+  out.resize(k);
 }
+
+template void Rng::sample_without_replacement(std::size_t, std::size_t,
+                                              std::vector<std::size_t>&);
+template void Rng::sample_without_replacement(std::size_t, std::size_t,
+                                              std::vector<std::int64_t>&);
 
 }  // namespace zka::util

@@ -66,6 +66,13 @@ class Rng {
   /// cross-compatible streams.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+  /// The same draw into `out`, which ends holding the k indices. It is
+  /// also the draw's working space (n entries on the Fisher-Yates path,
+  /// about 3k on Floyd's), so a kept `out` makes a repeated draw
+  /// allocation-free. Index is std::size_t or std::int64_t.
+  template <typename Index>
+  void sample_without_replacement(std::size_t n, std::size_t k,
+                                  std::vector<Index>& out);
 
   /// In-place Fisher-Yates shuffle.
   template <typename T>

@@ -1,5 +1,5 @@
-// Allocation gate: a steady-state training step, eval batch and ZKA-R
-// synthesis epoch allocate nothing. This binary replaces the global
+// Allocation gate: a steady-state training step, a client's whole local
+// training, an eval batch and a ZKA-R synthesis epoch allocate nothing. This binary replaces the global
 // operator new/delete with counting versions; each case runs its step once
 // to warm the buffers up, then counts every allocation, on any thread, made
 // while the step runs again. Registered at several pool sizes so the
@@ -13,7 +13,9 @@
 
 #include "core/zka_r.h"
 #include "data/loader.h"
+#include "data/partition.h"
 #include "data/synthetic.h"
+#include "fl/registry.h"
 #include "models/models.h"
 #include "nn/loss.h"
 #include "nn/sgd.h"
@@ -112,24 +114,73 @@ TEST(AllocationGate, EvalBatch) {
   EXPECT_GE(hits, 0);
 }
 
-// Filter forward, frozen classifier forward, loss, backward into the
-// filter and its step.
+// Filter forward, classifier forward, loss, backward into the filter and
+// its step; on a frozen classifier (as ZKA-R runs it) and an unfrozen one.
 TEST(AllocationGate, ZkaRSynthesisEpoch) {
-  const auto spec = models::cifar_spec();
-  util::Rng rng(9);
-  auto classifier = models::task_model_factory(models::Task::kCifar)(10);
-  auto filter = models::make_filter_layer(spec, 3, rng);
-  nn::Sgd optimizer(*filter, {.learning_rate = 0.1f});
-  nn::SoftmaxCrossEntropy loss;
-  const tensor::Tensor a = tensor::Tensor::uniform(
-      {1, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
-  const tensor::Tensor ambiguous({1, spec.num_classes},
-                                 1.0f / static_cast<float>(spec.num_classes));
+  for (const bool frozen : {true, false}) {
+    const auto spec = models::cifar_spec();
+    util::Rng rng(9);
+    auto classifier = models::task_model_factory(models::Task::kCifar)(10);
+    if (frozen) classifier->freeze();
+    auto filter = models::make_filter_layer(spec, 3, rng);
+    nn::Sgd optimizer(*filter, {.learning_rate = 0.1f});
+    nn::SoftmaxCrossEntropy loss;
+    const tensor::Tensor a = tensor::Tensor::uniform(
+        {1, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
+    const tensor::Tensor ambiguous(
+        {1, spec.num_classes}, 1.0f / static_cast<float>(spec.num_classes));
+    EXPECT_EQ(steady_state_allocations([&] {
+                core::synthesis_epoch(*filter, optimizer, *classifier, loss,
+                                      a, ambiguous);
+              }),
+              0)
+        << (frozen ? "frozen" : "unfrozen") << " classifier";
+  }
+}
+
+// registry.client(id).train(...) on a warm TrainScratch, as the simulator's
+// pool threads run it: the client, its shard and the local SGD all reuse
+// what the scratch kept. Each step trains two clients one after the other.
+void check_client_train(const fl::ClientRegistry& registry,
+                        const char* what) {
+  const auto factory = models::task_model_factory(models::Task::kFashion);
+  const std::vector<float> global = nn::get_flat_params(*factory(12));
+  data::TrainScratch scratch;
+  std::vector<float> out;
+  std::uint64_t seed = 0;
   EXPECT_EQ(steady_state_allocations([&] {
-              core::synthesis_epoch(*filter, optimizer, *classifier, loss, a,
-                                    ambiguous);
+              for (const std::int64_t id : {3, 4}) {
+                registry.client(id).train(global, ++seed, scratch, out);
+              }
             }),
-            0);
+            0)
+      << what;
+}
+
+TEST(AllocationGate, PartitionedRegistryClientTrain) {
+  const auto dataset =
+      data::make_synthetic_dataset(models::Task::kFashion, 200, 13);
+  std::vector<std::vector<std::int64_t>> parts(6);
+  for (std::int64_t i = 0; i < dataset.size(); ++i) {
+    parts[static_cast<std::size_t>(i % 7 == 0 ? 3 : i % 6)].push_back(i);
+  }
+  const fl::ClientRegistry registry(
+      dataset, std::move(parts),
+      models::task_model_factory(models::Task::kFashion), {});
+  check_client_train(registry, "partitioned registry");
+}
+
+// Both of the shard draw's paths: Fisher-Yates over a small dataset, Floyd's
+// over one above Rng::kDenseSampleMax.
+TEST(AllocationGate, HashedRegistryClientTrain) {
+  for (const std::int64_t size : {300, 5000}) {
+    const auto dataset =
+        data::make_synthetic_dataset(models::Task::kFashion, size, 14);
+    const fl::ClientRegistry registry(
+        dataset, data::HashedShardSpec(dataset.size(), 1000, 40, 15),
+        models::task_model_factory(models::Task::kFashion), {});
+    check_client_train(registry, size > 4096 ? "hashed, Floyd" : "hashed");
+  }
 }
 
 }  // namespace

@@ -31,7 +31,8 @@ class ClientTest : public ::testing::Test {
 };
 
 TEST_F(ClientTest, TrainIsDeterministicGivenSeed) {
-  Client client(0, dataset_, all_indices(), factory_, {});
+  const auto indices = all_indices();
+  Client client(0, dataset_, indices, factory_, {});
   EXPECT_EQ(client.train(global_, 123), client.train(global_, 123));
   EXPECT_NE(client.train(global_, 123), client.train(global_, 124));
 }
@@ -40,7 +41,8 @@ TEST_F(ClientTest, TrainImprovesLocalFit) {
   data::LocalSgdOptions opts;
   opts.local_epochs = 3;
   opts.learning_rate = 0.05f;
-  Client client(0, dataset_, all_indices(), factory_, opts);
+  const auto indices = all_indices();
+  Client client(0, dataset_, indices, factory_, opts);
   const auto update = client.train(global_, 5);
 
   auto model = factory_(0);
@@ -61,17 +63,35 @@ TEST_F(ClientTest, EmptyShardReturnsGlobalUnchanged) {
 }
 
 TEST_F(ClientTest, UpdateStaysNearGlobalForOneEpoch) {
-  Client client(2, dataset_, all_indices(), factory_, {});
+  const auto indices = all_indices();
+  Client client(2, dataset_, indices, factory_, {});
   const auto update = client.train(global_, 7);
   EXPECT_GT(util::l2_distance(update, global_), 1e-5);
   EXPECT_LT(util::l2_distance(update, global_), 50.0);
 }
 
 TEST_F(ClientTest, IdAndIndicesAccessors) {
-  Client client(42, dataset_, {1, 2, 3}, factory_, {});
+  const std::vector<std::int64_t> indices = {1, 2, 3};
+  Client client(42, dataset_, indices, factory_, {});
   EXPECT_EQ(client.id(), 42);
   EXPECT_EQ(client.num_samples(), 3);
-  EXPECT_EQ(client.indices(), (std::vector<std::int64_t>{1, 2, 3}));
+  std::vector<std::int64_t> shard = {9, 9, 9, 9, 9};
+  client.shard(shard);
+  EXPECT_EQ(shard, indices);
+}
+
+// A hashed-spec client computes the spec's shard, and trains exactly as a
+// client handed that shard's indices.
+TEST_F(ClientTest, HashedShardClientMatchesIndexClient) {
+  const data::HashedShardSpec spec(dataset_.size(), 1000, 12, 5);
+  Client hashed(17, dataset_, spec, factory_, {});
+  const auto indices = spec.shard(17);
+  Client listed(17, dataset_, indices, factory_, {});
+  EXPECT_EQ(hashed.num_samples(), 12);
+  std::vector<std::int64_t> shard;
+  hashed.shard(shard);
+  EXPECT_EQ(shard, indices);
+  EXPECT_EQ(hashed.train(global_, 3), listed.train(global_, 3));
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <span>
+
 #include "grad_check.h"
+#include "models/models.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
@@ -510,6 +515,101 @@ TEST(FlatParams, AddToGradsAccumulates) {
   add_to_flat_grads(net, delta);
   add_to_flat_grads(net, delta);
   for (const float g : get_flat_grads(net)) EXPECT_FLOAT_EQ(g, 1.0f);
+}
+
+// ---------- freeze() ----------
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// A frozen module's backward returns the unfrozen input gradient bit for
+// bit and leaves every parameter gradient as it found it. `make` must build
+// the same module (same parameters) on every call.
+template <typename Make>
+void check_frozen_backward(Make make, const tensor::Shape& input_shape,
+                           const char* what) {
+  constexpr float kSentinel = 12345.0f;
+  const Tensor x = random_input(input_shape, 31);
+  const std::unique_ptr<Module> live = make();
+  const std::unique_ptr<Module> frozen = make();
+  frozen->freeze();
+  EXPECT_TRUE(frozen->frozen()) << what;
+  EXPECT_FALSE(live->frozen()) << what;
+
+  const Tensor y = live->forward(x);  // a copy: backward may reuse it
+  const Tensor g = random_input(y.shape(), 32);
+  const Tensor dx_live = live->backward(g);
+  bool live_grad_moved = false;
+  for (Parameter* p : live->parameters()) {
+    for (const float v : p->grad.data()) live_grad_moved |= v != 0.0f;
+  }
+  EXPECT_TRUE(live_grad_moved) << what;
+
+  for (Parameter* p : frozen->parameters()) p->grad.fill(kSentinel);
+  // Twice: a second forward/backward on a frozen module changes nothing.
+  for (int pass = 0; pass < 2; ++pass) {
+    const Tensor& out = frozen->forward(x);
+    EXPECT_TRUE(same_bits(out.data(), y.data())) << what;
+    const Tensor& dx = frozen->backward(g);
+    ASSERT_EQ(dx.shape(), dx_live.shape()) << what;
+    EXPECT_TRUE(same_bits(dx.data(), dx_live.data()))
+        << what << " pass " << pass;
+  }
+  for (Parameter* p : frozen->parameters()) {
+    for (const float v : p->grad.data()) {
+      ASSERT_EQ(v, kSentinel) << what << ": a frozen backward wrote a grad";
+    }
+  }
+}
+
+TEST(Freeze, Conv2dComputesInputGradientOnly) {
+  for (const std::int64_t n : {1, 5}) {
+    check_frozen_backward(
+        [] {
+          util::Rng rng(41);
+          return std::unique_ptr<Module>(new Conv2d(3, 4, 3, 1, 1, rng));
+        },
+        {n, 3, 9, 9}, "Conv2d");
+  }
+}
+
+TEST(Freeze, LinearComputesInputGradientOnly) {
+  for (const std::int64_t n : {1, 7}) {
+    check_frozen_backward(
+        [] {
+          util::Rng rng(42);
+          return std::unique_ptr<Module>(new Linear(12, 5, rng));
+        },
+        {n, 12}, "Linear");
+  }
+}
+
+TEST(Freeze, ConvTranspose2dComputesInputGradientOnly) {
+  for (const std::int64_t n : {1, 4}) {
+    check_frozen_backward(
+        [] {
+          util::Rng rng(43);
+          return std::unique_ptr<Module>(
+              new ConvTranspose2d(6, 3, 4, 2, 1, rng));
+        },
+        {n, 6, 5, 5}, "ConvTranspose2d");
+  }
+}
+
+// The Cifar CNN as one Sequential: freeze() reaches every layer. Batch 64
+// also takes the conv GEMMs down their pool-parallel path.
+TEST(Freeze, CifarCnnComputesInputGradientOnly) {
+  const auto spec = models::cifar_spec();
+  for (const std::int64_t n : {1, 64}) {
+    check_frozen_backward(
+        [] {
+          return std::unique_ptr<Module>(
+              models::task_model_factory(models::Task::kCifar)(44));
+        },
+        {n, spec.channels, spec.height, spec.width}, "Cifar CNN");
+  }
 }
 
 }  // namespace
