@@ -1,12 +1,16 @@
 // Micro-benchmarks of the tensor kernels, including the DESIGN.md ablation
-// of im2col+GEMM convolution vs a naive 7-loop implementation, and a
-// per-layer probe of the Cifar CNN (results/perf_breakdown.md).
+// of im2col+GEMM convolution vs a naive 7-loop implementation, a per-layer
+// probe of the Cifar CNN and the eval batch sweep
+// (results/perf_breakdown.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "data/local_sgd.h"
+#include "data/synthetic.h"
+#include "fl/metrics.h"
 #include "models/models.h"
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
@@ -224,6 +228,39 @@ void BM_CifarStepByLayer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CifarStepByLayer)->Unit(benchmark::kMillisecond);
+
+// Test-set evaluation as Simulation::run does it each round, at the test
+// sizes of bench/e2e's cifar-zkar (250) and fashion-zkag (300) workloads.
+// Arg 0 is the task (0 Fashion, 1 Cifar); arg 1 is the pool eval's batch,
+// or 0 for the serial batch-64 evaluation on one model. One eval before
+// the timed loop sizes every replica's buffers. fl::kEvalBatch is chosen
+// from this sweep (results/perf_breakdown.md).
+void BM_Eval(benchmark::State& state) {
+  const auto task =
+      state.range(0) == 0 ? models::Task::kFashion : models::Task::kCifar;
+  const std::int64_t batch = state.range(1);
+  const auto factory = models::task_model_factory(task);
+  const auto test = data::make_synthetic_dataset(
+      task, task == models::Task::kCifar ? 250 : 300, 3);
+  const std::vector<float> params = nn::get_flat_params(*factory(4));
+  data::ReplicaSet replicas(factory);
+  const auto serial = factory(5);
+  const auto eval = [&] {
+    return batch == 0 ? fl::evaluate_accuracy(*serial, params, test)
+                      : fl::evaluate_accuracy(replicas, params, test, batch);
+  };
+  const double accuracy = eval();
+  for (auto _ : state) {
+    const double a = eval();
+    if (a != accuracy) state.SkipWithError("accuracy changed between evals");
+    benchmark::DoNotOptimize(a);
+  }
+  state.counters["accuracy"] = accuracy;
+}
+BENCHMARK(BM_Eval)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 4, 8}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TensorElementwiseAdd(benchmark::State& state) {
   util::Rng rng(5);

@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "analysis/update_diagnostics.h"
+#include "data/local_sgd.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/experiment.h"
@@ -23,38 +24,40 @@ using namespace zka;
 
 // A miniature server loop built from the public pieces, with checkpoint
 // and diagnostics hooks (the canned fl::Simulation hides the round loop).
+// Its clients point into its own members, so it is built in place and
+// never copied or moved.
 struct MiniFederation {
   models::ModelFactory factory;
   data::Dataset train;
   data::Dataset test;
   std::vector<std::vector<std::int64_t>> parts;  // the clients' shards
   std::vector<fl::Client> clients;
-  std::int64_t num_malicious = 0;
+  std::int64_t num_malicious = 8;  // 20%
   std::vector<float> global;
   std::vector<float> prev;
-  util::Rng rng{0};
+  util::Rng rng;
+  // The models the attack crafts on and the server evaluates on, one per
+  // thread-pool participant.
+  data::ReplicaSet replicas;
 
-  static MiniFederation create(std::uint64_t seed) {
-    MiniFederation fed;
-    fed.factory = models::task_model_factory(models::Task::kFashion);
-    fed.train = data::make_synthetic_dataset(models::Task::kFashion, 800,
-                                             seed);
-    fed.test = data::make_synthetic_dataset(models::Task::kFashion, 250,
-                                            seed ^ 0x7e57);
+  explicit MiniFederation(std::uint64_t seed)
+      : factory(models::task_model_factory(models::Task::kFashion)),
+        train(data::make_synthetic_dataset(models::Task::kFashion, 800, seed)),
+        test(data::make_synthetic_dataset(models::Task::kFashion, 250,
+                                          seed ^ 0x7e57)),
+        global(nn::get_flat_params(*factory(seed))),
+        prev(global),
+        rng(seed ^ 0xfeed),
+        replicas(factory) {
     util::Rng part_rng(seed);
-    fed.parts =
-        data::dirichlet_partition(fed.train.labels, 10, 40, 0.5, part_rng);
+    parts = data::dirichlet_partition(train.labels, 10, 40, 0.5, part_rng);
     for (std::int64_t c = 0; c < 40; ++c) {
-      fed.clients.emplace_back(c, fed.train,
-                               fed.parts[static_cast<std::size_t>(c)],
-                               fed.factory, data::LocalSgdOptions{});
+      clients.emplace_back(c, train, parts[static_cast<std::size_t>(c)],
+                           factory, data::LocalSgdOptions{});
     }
-    fed.num_malicious = 8;  // 20%
-    fed.global = nn::get_flat_params(*fed.factory(seed));
-    fed.prev = fed.global;
-    fed.rng = util::Rng(seed ^ 0xfeed);
-    return fed;
   }
+  MiniFederation(const MiniFederation&) = delete;
+  MiniFederation& operator=(const MiniFederation&) = delete;
 
   /// One FL round; returns the separability the defense would observe.
   double round(attack::Attack& attack, std::int64_t round_index) {
@@ -76,6 +79,7 @@ struct MiniFederation {
     ctx.num_selected = 10;
     ctx.num_malicious_selected =
         static_cast<std::int64_t>(sampled.size() - benign.size());
+    ctx.replicas = &replicas;
     std::vector<float> crafted;
     if (ctx.num_malicious_selected > 0) crafted = attack.craft(ctx);
 
@@ -103,9 +107,7 @@ struct MiniFederation {
     return separability;
   }
 
-  double accuracy() const {
-    return fl::evaluate_accuracy(factory, global, test);
-  }
+  double accuracy() { return fl::evaluate_accuracy(replicas, global, test); }
 };
 
 }  // namespace
@@ -119,7 +121,7 @@ int main(int argc, char** argv) {
       args.get_string("out", std::filesystem::temp_directory_path().string());
   const std::string checkpoint = out_dir + "/zka_checkpoint.bin";
 
-  MiniFederation fed = MiniFederation::create(seed);
+  MiniFederation fed(seed);
   fl::Simulation dummy_sim([&] {  // only used to materialize the attack
     fl::SimulationConfig config;
     config.num_clients = 10;
@@ -146,7 +148,7 @@ int main(int argc, char** argv) {
   nn::save_params(checkpoint, fed.global);
   std::printf("checkpointed global model (%zu params) to %s\n",
               fed.global.size(), checkpoint.c_str());
-  MiniFederation resumed = MiniFederation::create(seed);
+  MiniFederation resumed(seed);
   resumed.global = nn::load_params(checkpoint);
   resumed.prev = resumed.global;
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "data/local_sgd.h"
 #include "data/partition.h"
 #include "defense/statistic.h"
 #include "tensor/reduce.h"
@@ -98,6 +99,9 @@ double run_with_aggregator(defense::Aggregator& aggregator,
   const auto attack = fl::make_attack(kind, sim, core::ZkaOptions{}, seed);
 
   const auto factory = models::task_model_factory(config.task);
+  // The models the attack crafts on and the server evaluates on, one per
+  // thread-pool participant.
+  data::ReplicaSet replicas(factory);
   std::vector<float> global = nn::get_flat_params(*factory(seed));
   std::vector<float> prev = global;
 
@@ -134,6 +138,7 @@ double run_with_aggregator(defense::Aggregator& aggregator,
     ctx.num_selected = config.clients_per_round;
     ctx.num_malicious_selected =
         static_cast<std::int64_t>(sampled.size() - benign.size());
+    ctx.replicas = &replicas;
     defense::Update malicious;
     if (ctx.num_malicious_selected > 0) malicious = attack->craft(ctx);
 
@@ -149,7 +154,7 @@ double run_with_aggregator(defense::Aggregator& aggregator,
     prev = global;
     global = aggregator.aggregate(updates, weights).model;
     best = std::max(best,
-                    fl::evaluate_accuracy(factory, global, sim.test_data()));
+                    fl::evaluate_accuracy(replicas, global, sim.test_data()));
   }
   return best;
 }

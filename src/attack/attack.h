@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-namespace zka::nn {
-class Sequential;
+namespace zka::data {
+class ReplicaSet;
 }
 
 namespace zka::attack {
@@ -43,12 +43,14 @@ struct AttackContext {
   /// weight-blending attacker would mimic). 1 when no benign client was
   /// sampled. Input to Attack::reported_weight.
   std::int64_t benign_median_weight = 1;
-  /// A model of the task's architecture the attack may use as working
-  /// space: its parameters and buffers are overwritten, and the caller
-  /// reloads it before its own next use. The simulator lends the calling
-  /// thread's training replica, so crafting adds no model of its own.
-  /// Null when the caller has none to lend.
-  nn::Sequential* model_replica = nullptr;
+  /// Models of the task's architecture, one per participant of the global
+  /// thread pool, that the attack may use as working space: their
+  /// parameters and buffers are overwritten, and the caller reloads them
+  /// before its own next use. The simulator lends the replicas it trains
+  /// and evaluates on, so crafting adds no model of its own. Null when the
+  /// caller has none to lend: an attack that needs models then keeps a
+  /// set of its own, of the same type, and runs the same code on it.
+  data::ReplicaSet* replicas = nullptr;
 };
 
 class Attack {

@@ -17,7 +17,8 @@ Update LabelFlipAttack::craft(const AttackContext& ctx) {
   data::DataLoader loader(dataset_, options_.batch_size);
   Update update;
   data::local_sgd(ctx.global_model, loader, options_, factory_, rng_,
-                  scratch_, update, ctx.model_replica);
+                  ctx.replicas != nullptr ? ctx.replicas->mine() : scratch_,
+                  update);
   return update;
 }
 

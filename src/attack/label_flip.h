@@ -27,7 +27,7 @@ class LabelFlipAttack : public Attack {
   models::ModelFactory factory_;
   data::LocalSgdOptions options_;
   util::Rng rng_;
-  data::TrainScratch scratch_;  // its model trains when no replica is lent
+  data::TrainScratch scratch_;  // trains when no replicas are lent
 };
 
 }  // namespace zka::attack

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/distance_reg.h"
+#include "nn/loss.h"
 #include "nn/sequential.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -33,13 +34,19 @@ class AdversarialTrainer {
       : options_(options), regularizer_(options.lambda) {}
 
   /// Trains `model` (already holding w(t)) on (images, decoy_label) and
-  /// returns the per-epoch mean total loss (CE + lambda * L_d).
-  std::vector<double> train(nn::Sequential& model,
-                            const tensor::Tensor& images,
-                            std::int64_t decoy_label,
-                            std::span<const float> global,
-                            std::span<const float> prev_global,
-                            util::Rng& rng) const;
+  /// returns the per-epoch mean total loss (CE + lambda * L_d), valid until
+  /// the next call. The trainer keeps its order, batch, label, regularizer
+  /// and loss buffers across calls, so a warm call on a model that has seen
+  /// the batch shape allocates nothing.
+  const std::vector<double>& train(nn::Sequential& model,
+                                   const tensor::Tensor& images,
+                                   std::int64_t decoy_label,
+                                   std::span<const float> global,
+                                   std::span<const float> prev_global,
+                                   util::Rng& rng);
+
+  /// Re-weights the distance regularizer for later calls.
+  void set_lambda(double lambda);
 
   const AdversarialTrainerOptions& options() const noexcept {
     return options_;
@@ -48,6 +55,12 @@ class AdversarialTrainer {
  private:
   AdversarialTrainerOptions options_;
   DistanceRegularizer regularizer_;
+  nn::SoftmaxCrossEntropy loss_;
+  std::vector<std::int64_t> order_;
+  tensor::Tensor batch_;
+  std::vector<std::int64_t> labels_;
+  std::vector<float> reg_scratch_;
+  std::vector<double> epoch_losses_;
 };
 
 }  // namespace zka::core

@@ -4,7 +4,7 @@ namespace zka::core {
 
 RealDataAttack::RealDataAttack(models::Task task, data::Dataset dataset,
                                ZkaOptions options, std::uint64_t seed)
-    : ZkaAttack(task, options, seed, 0xda7a, nullptr, nullptr),
+    : ZkaAttack(task, options, seed, nullptr, nullptr),
       dataset_(std::move(dataset)) {}
 
 }  // namespace zka::core

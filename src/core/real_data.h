@@ -21,7 +21,9 @@ class RealDataAttack : public ZkaAttack {
 
  private:
   /// Step 1 is the attacker's own images, as they are.
-  const tensor::Tensor& synthesize(FrozenReplicas /*frozen*/) override {
+  const tensor::Tensor& synthesize(
+      data::ReplicaSet& /*replicas*/,
+      std::span<const float> /*global*/) override {
     return dataset_.images;
   }
 

@@ -7,12 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "attack/attack.h"
 #include "core/zka_options.h"
+#include "data/local_sgd.h"
 #include "models/models.h"
 #include "nn/sequential.h"
 #include "tensor/tensor.h"
@@ -27,10 +28,10 @@ class ZkaAttack : public attack::Attack {
   ZkaAttack(const ZkaAttack&) = delete;
   ZkaAttack& operator=(const ZkaAttack&) = delete;
 
-  /// Loads w(t) into the frozen classifier replicas and runs step 1 on
-  /// them, then loads w(t) into the working classifier (the replica the
-  /// caller lends in ctx, else one of its own kept across crafts), trains
-  /// it on the step-1 images and returns its parameters.
+  /// Runs step 1 on the classifier replicas (the set the caller lends in
+  /// ctx, else one of its own kept across crafts), then loads w(t) into the
+  /// calling participant's replica, trains it on the step-1 images and
+  /// returns its parameters.
   attack::Update craft(const attack::AttackContext& ctx) final;
 
   /// Decoy class Ỹ used for every image.
@@ -53,20 +54,17 @@ class ZkaAttack : public attack::Attack {
   const tensor::Tensor& last_synthetic_images() const;
 
  protected:
-  /// `model_salt` keys the per-craft draw of the working classifier's
-  /// seed; `craft_scope` and `train_scope` label the util/prof scopes of
+  /// `craft_scope` and `train_scope` label the util/prof scopes of
   /// the whole craft and of step 2 (null: untimed).
   ZkaAttack(models::Task task, ZkaOptions options, std::uint64_t seed,
-            std::uint64_t model_salt, const char* craft_scope,
-            const char* train_scope);
-
-  using FrozenReplicas = std::span<const std::unique_ptr<nn::Sequential>>;
+            const char* craft_scope, const char* train_scope);
 
   /// Step 1: the images step 2 trains on, valid until the next call.
-  /// `frozen` holds one frozen classifier replica per participant of the
-  /// global thread pool, indexed by ThreadPool::participant_index(), each
-  /// loaded with w(t); a participant may run its own replica freely.
-  virtual const tensor::Tensor& synthesize(FrozenReplicas frozen) = 0;
+  /// `replicas` holds one classifier replica per participant of the global
+  /// thread pool, in any state: a variant loads w(t) (`global`) into those
+  /// it runs and keeps each frozen (nn::FreezeScope) while it does.
+  virtual const tensor::Tensor& synthesize(data::ReplicaSet& replicas,
+                                           std::span<const float> global) = 0;
 
   models::ImageSpec spec_;
   ZkaOptions options_;
@@ -77,15 +75,10 @@ class ZkaAttack : public attack::Attack {
   models::ModelFactory factory_;
   AdversarialTrainer trainer_;
   std::int64_t decoy_label_;
-  std::uint64_t model_salt_;
   const char* craft_scope_;
   const char* train_scope_;
-  // The working classifier when the caller lends no replica; built by the
-  // first such craft. Never frozen.
-  std::unique_ptr<nn::Sequential> classifier_;
-  // Step 1's frozen replicas, one per pool participant; built by the first
-  // craft and reloaded by every craft.
-  std::vector<std::unique_ptr<nn::Sequential>> frozen_;
+  // The replicas when the caller lends none; built by the first such craft.
+  std::optional<data::ReplicaSet> own_replicas_;
   const tensor::Tensor* images_ = nullptr;
 };
 

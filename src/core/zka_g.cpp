@@ -9,7 +9,7 @@ namespace zka::core {
 
 ZkaGAttack::ZkaGAttack(models::Task task, ZkaOptions options,
                        std::uint64_t seed)
-    : ZkaAttack(task, options, seed, 0x7e0, "zka_g/craft",
+    : ZkaAttack(task, options, seed, "zka_g/craft",
                 "zka_g/classifier_train") {
   ZKA_CHECK(options_.latent_dim > 0 && options_.synthetic_size > 0,
             "ZKA-G: latent_dim=%lld, synthetic_size=%lld out of range",
@@ -24,8 +24,13 @@ ZkaGAttack::ZkaGAttack(models::Task task, ZkaOptions options,
                                    gen_rng);
 }
 
-const tensor::Tensor& ZkaGAttack::synthesize(FrozenReplicas frozen) {
-  nn::Sequential& classifier = *frozen[0];
+const tensor::Tensor& ZkaGAttack::synthesize(data::ReplicaSet& replicas,
+                                             std::span<const float> global) {
+  // The generator trains through the calling participant's classifier,
+  // frozen at w(t).
+  nn::Sequential& classifier = *replicas.mine().model;
+  nn::set_flat_params(classifier, global);
+  const nn::FreezeScope frozen(classifier);
   const std::vector<std::int64_t> decoy_labels(
       static_cast<std::size_t>(options_.synthetic_size), decoy_label());
   loss_history_.clear();

@@ -24,10 +24,12 @@ class ZkaGAttack : public ZkaAttack {
   }
 
  private:
-  /// Trains the generator through participant 0's frozen replica (its
-  /// per-epoch loss, the positive cross-entropy vs Ỹ the attack maximizes,
-  /// is the synthesis loss history) and returns G(Z).
-  const tensor::Tensor& synthesize(FrozenReplicas frozen) override;
+  /// Trains the generator through the calling participant's replica,
+  /// loaded with w(t) and frozen while it does (its per-epoch loss, the
+  /// positive cross-entropy vs Ỹ the attack maximizes, is the synthesis
+  /// loss history) and returns G(Z).
+  const tensor::Tensor& synthesize(data::ReplicaSet& replicas,
+                                   std::span<const float> global) override;
 
   std::unique_ptr<nn::Sequential> generator_;
   tensor::Tensor latent_;  // fixed Z, [|S|, latent_dim]

@@ -21,10 +21,11 @@ double synthesis_epoch(nn::Module& filter, nn::Sgd& optimizer,
 
 ZkaRAttack::ZkaRAttack(models::Task task, ZkaOptions options,
                        std::uint64_t seed)
-    : ZkaAttack(task, options, seed, 0x5ea, "zka_r/craft",
+    : ZkaAttack(task, options, seed, "zka_r/craft",
                 "zka_r/classifier_train") {}
 
-const tensor::Tensor& ZkaRAttack::synthesize(FrozenReplicas frozen) {
+const tensor::Tensor& ZkaRAttack::synthesize(data::ReplicaSet& replicas,
+                                             std::span<const float> global) {
   ZKA_CHECK(options_.synthetic_size > 0 && options_.synthesis_epochs >= 0,
             "ZKA-R: synthetic_size=%lld, synthesis_epochs=%lld out of range",
             static_cast<long long>(options_.synthetic_size),
@@ -51,14 +52,16 @@ const tensor::Tensor& ZkaRAttack::synthesize(FrozenReplicas frozen) {
   }
 
   // Each sample trains its own filter (the only trainable layer) through
-  // its participant's frozen classifier and writes its own image row and
-  // loss row.
+  // its participant's classifier, frozen for the sample, and writes its own
+  // image row and loss row.
+  replicas.load(global);
   sample_losses_.resize(static_cast<std::size_t>(s_count * epochs));
   util::ThreadPool& pool = util::global_thread_pool();
   const std::int64_t plane = spec_.pixels();
   pool.parallel_for(static_cast<std::size_t>(s_count), [&](std::size_t i) {
     ZKA_PROF_SCOPE("zka_r/synthesize_sample");
-    nn::Sequential& classifier = *frozen[pool.participant_index()];
+    nn::Sequential& classifier = *replicas.mine().model;
+    const nn::FreezeScope frozen(classifier);
     auto filter = models::make_filter_layer(spec_, options_.filter_kernel,
                                             filter_rngs_[i]);
     nn::Sgd optimizer(*filter, {.learning_rate = options_.synthesis_lr});

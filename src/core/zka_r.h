@@ -41,7 +41,8 @@ class ZkaRAttack : public ZkaAttack {
   /// sample order, trains the |S| filters on the pool (each sample on its
   /// participant's replica) and sums the per-epoch losses in sample order,
   /// so the result does not depend on the pool size.
-  const tensor::Tensor& synthesize(FrozenReplicas frozen) override;
+  const tensor::Tensor& synthesize(data::ReplicaSet& replicas,
+                                   std::span<const float> global) override;
 
   tensor::Tensor images_;
   // Per sample, kept across crafts: the random image A, the filter's

@@ -1,11 +1,26 @@
 #include "data/loader.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace zka::data {
+
+void fill_batch(const Dataset& dataset, std::int64_t begin, std::int64_t end,
+                Batch& out) {
+  if (begin < 0 || begin >= end || end > dataset.size()) {
+    throw std::out_of_range("fill_batch: rows out of dataset range");
+  }
+  const tensor::Shape& shape = dataset.images.shape();
+  out.images.resize({end - begin, shape[1], shape[2], shape[3]});
+  const std::int64_t row = shape[1] * shape[2] * shape[3];
+  std::copy(dataset.images.raw() + begin * row,
+            dataset.images.raw() + end * row, out.images.raw());
+  out.labels.assign(dataset.labels.begin() + begin,
+                    dataset.labels.begin() + end);
+}
 
 DataLoader::DataLoader(const Dataset& dataset, std::int64_t batch_size)
     : dataset_(&dataset), batch_size_(batch_size) {

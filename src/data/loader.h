@@ -18,6 +18,11 @@ struct Batch {
   std::vector<std::int64_t> labels;    // size B
 };
 
+/// Copies rows [begin, end) of `dataset`, in dataset order, into `out`,
+/// resized in place as DataLoader::batch does. Needs no index list.
+void fill_batch(const Dataset& dataset, std::int64_t begin, std::int64_t end,
+                Batch& out);
+
 class DataLoader {
  public:
   /// Iterates over the whole dataset.

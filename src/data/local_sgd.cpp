@@ -2,17 +2,37 @@
 
 #include "nn/sgd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace zka::data {
+
+ReplicaSet::ReplicaSet(models::ModelFactory factory)
+    : factory_(std::move(factory)),
+      slots_(util::global_thread_pool().size() + 1) {}
+
+TrainScratch& ReplicaSet::mine() {
+  return slot(util::global_thread_pool().participant_index());
+}
+
+TrainScratch& ReplicaSet::slot(std::size_t p) {
+  TrainScratch& s = slots_.at(p);
+  if (!s.model) s.model = factory_(0);
+  return s;
+}
+
+void ReplicaSet::load(std::span<const float> params) {
+  for (std::size_t p = 0; p < slots_.size(); ++p) {
+    nn::set_flat_params(model(p), params);
+  }
+}
 
 void local_sgd(std::span<const float> global, DataLoader& loader,
                const LocalSgdOptions& options,
                const models::ModelFactory& factory, util::Rng& rng,
-               TrainScratch& scratch, std::vector<float>& out,
-               nn::Sequential* lent) {
+               TrainScratch& scratch, std::vector<float>& out) {
   const std::uint64_t model_seed = rng.split(1)();
-  if (lent == nullptr && !scratch.model) scratch.model = factory(model_seed);
-  nn::Sequential& model = lent != nullptr ? *lent : *scratch.model;
+  if (!scratch.model) scratch.model = factory(model_seed);
+  nn::Sequential& model = *scratch.model;
   nn::set_flat_params(model, global);
   nn::Sgd optimizer(model, {.learning_rate = options.learning_rate});
   for (std::int64_t epoch = 0; epoch < options.local_epochs; ++epoch) {

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "data/dataset.h"
+#include "data/local_sgd.h"
 #include "models/models.h"
 
 namespace zka::fl {
@@ -26,11 +27,29 @@ double evaluate_accuracy(const models::ModelFactory& factory,
                          const data::Dataset& dataset,
                          std::int64_t batch_size = 64);
 
-/// Same, on a model the caller keeps (e.g. a training replica): `params`
-/// is loaded into it, and its layer buffers are reused across batches and
-/// calls.
+/// Same, on a model the caller keeps: `params` is loaded into it, and its
+/// layer buffers are reused across batches and calls. The serial
+/// reference of the pool evaluation below.
 double evaluate_accuracy(nn::Module& model, std::span<const float> params,
                          const data::Dataset& dataset,
                          std::int64_t batch_size = 64);
+
+/// Rows per batch of the pool evaluation. Batch 2 is the fastest or within
+/// the run-to-run spread of it on both tasks (BM_Eval, see
+/// results/perf_breakdown.md), and it is smaller than the training batch
+/// (LocalSgdOptions::batch_size, 32), so evaluating grows no replica's
+/// layer buffers.
+inline constexpr std::int64_t kEvalBatch = 2;
+
+/// Same, on the thread pool: `params` is loaded into every participant's
+/// replica, and each participant runs its share of the `batch_size`-row
+/// batches through its own model and batch buffer. A row's logits do not
+/// depend on the batch that holds it, and the hit count is an integer, so
+/// the result equals the serial evaluation's bit for bit at every pool size
+/// and batch size. Allocation-free once every replica has trained.
+double evaluate_accuracy(data::ReplicaSet& replicas,
+                         std::span<const float> params,
+                         const data::Dataset& dataset,
+                         std::int64_t batch_size = kEvalBatch);
 
 }  // namespace zka::fl

@@ -137,16 +137,13 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   // which is fixed for the run, so one reserve covers all rounds and the
   // loop body itself allocates nothing. The per-client Update buffers are
   // reused training slots (wave_updates) and the attack's crafted buffer.
-  // Models are reused too: one training replica per pool participant, each
-  // built by the first client it trains, so none exists before the first
-  // round. The thread calling run() also crafts and evaluates on its own.
+  // Models are reused too, and these replicas, one per pool participant,
+  // are the only models a round uses: clients train on them, the attack
+  // crafts on them (lent through its context) and the global model is
+  // evaluated on them. Each is built by its first use, so none exists
+  // before the first round.
   util::ThreadPool& pool = util::global_thread_pool();
-  std::vector<data::TrainScratch> replicas(pool.size() + 1);
-  const auto caller_model = [&]() -> nn::Sequential& {
-    data::TrainScratch& mine = replicas[pool.participant_index()];
-    if (!mine.model) mine.model = factory_(0);
-    return *mine.model;
-  };
+  data::ReplicaSet replicas(factory_);
   const std::size_t round_k =
       static_cast<std::size_t>(config_.clients_per_round);
   std::vector<std::size_t> benign_ids;
@@ -243,8 +240,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
               config_.seed * 0x9e3779b97f4a7c15ULL +
               static_cast<std::uint64_t>(round) * 1315423911ULL +
               static_cast<std::uint64_t>(client.id());
-          client.train(global, seed, replicas[pool.participant_index()],
-                       wave_updates[k]);
+          client.train(global, seed, replicas.mine(), wave_updates[k]);
         };
         if (config_.parallel_clients) {
           pool.parallel_for(wave_benign.size(), train_one);
@@ -290,7 +286,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
       ctx.num_malicious_selected = static_cast<std::int64_t>(malicious_sampled);
       ctx.learning_rate = config_.client.learning_rate;
       ctx.benign_median_weight = benign_median;
-      ctx.model_replica = &caller_model();
+      ctx.replicas = &replicas;
       malicious_update = attack->craft(ctx);
       ZKA_CHECK(malicious_update.size() == global.size(),
                 "%s crafted %zu params, model has %zu", attack->name().c_str(),
@@ -362,7 +358,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
     if (config_.eval_every > 0 &&
         (round % config_.eval_every == 0 || round + 1 == config_.rounds)) {
       ZKA_PROF_SCOPE("eval");
-      record.accuracy = evaluate_accuracy(caller_model(), global, test_);
+      record.accuracy = evaluate_accuracy(replicas, global, test_);
       // max_accuracy starts NaN (nothing evaluated yet); std::max would
       // propagate the NaN forever, so seed it from the first evaluation.
       result.max_accuracy = std::isnan(result.max_accuracy)

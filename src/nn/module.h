@@ -5,8 +5,9 @@
 // parameter gradients and returns the gradient w.r.t. the module input.
 // That input gradient is exactly what the ZKA attacks exploit — they
 // backpropagate through a frozen global classifier into a trainable
-// filter layer (ZKA-R) or generator (ZKA-G). freeze() makes such a
-// classifier compute that input gradient and nothing else.
+// filter layer (ZKA-R) or generator (ZKA-G). A FreezeScope makes such a
+// classifier compute that input gradient and nothing else, and hands it
+// back unfrozen when the scope ends, so the same model trains again.
 //
 // Buffers: every layer owns its output and input-gradient buffers and
 // resizes them in place, so a module that has seen a batch shape once
@@ -60,13 +61,16 @@ class Module {
   /// On a frozen module (see freeze()) it only returns dLoss/dInput.
   virtual const Tensor& backward(const Tensor& grad_output) = 0;
 
-  /// Freezes the module for good: from now on backward() returns the same
+  /// Freezes the module: until thaw(), backward() returns the same
   /// dLoss/dInput, bit for bit, as it would unfrozen, but computes no
   /// parameter gradient and leaves every Parameter::grad as it is. A layer
   /// with parameters skips its weight and bias gradient work; a container
-  /// freezes every layer it holds. There is no unfreeze: a model that
-  /// trains is never frozen.
-  virtual void freeze() { frozen_ = true; }
+  /// freezes every layer it holds. Freezing changes nothing forward()
+  /// caches, so it may start or end between any two calls.
+  void freeze() { set_frozen(true); }
+  /// Undoes freeze(): from now on backward() accumulates parameter
+  /// gradients again, exactly as on a module that was never frozen.
+  void thaw() { set_frozen(false); }
   bool frozen() const noexcept { return frozen_; }
 
   /// Learnable parameters in a stable order (empty for stateless layers).
@@ -80,8 +84,28 @@ class Module {
     for (Parameter* p : parameters()) p->grad.fill(0.0f);
   }
 
+ protected:
+  /// Sets the flag backward() reads; a container overrides it to pass the
+  /// flag on to every layer it holds.
+  virtual void set_frozen(bool frozen) { frozen_ = frozen; }
+
  private:
   bool frozen_ = false;
+};
+
+/// Freezes `module` (see Module::freeze()) for the scope's lifetime and
+/// thaws it when the scope ends. ZKA step 1 runs each classifier replica
+/// it borrows under one. Scopes on one module do not nest: the inner one's
+/// end thaws it.
+class FreezeScope {
+ public:
+  explicit FreezeScope(Module& module) : module_(module) { module_.freeze(); }
+  ~FreezeScope() { module_.thaw(); }
+  FreezeScope(const FreezeScope&) = delete;
+  FreezeScope& operator=(const FreezeScope&) = delete;
+
+ private:
+  Module& module_;
 };
 
 /// Total number of scalar parameters.

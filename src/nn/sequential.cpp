@@ -9,9 +9,15 @@ Module& Sequential::add(std::unique_ptr<Module> layer) {
   return *layers_.back();
 }
 
-void Sequential::freeze() {
-  Module::freeze();
-  for (const auto& layer : layers_) layer->freeze();
+void Sequential::set_frozen(bool frozen) {
+  Module::set_frozen(frozen);
+  for (const auto& layer : layers_) {
+    if (frozen) {
+      layer->freeze();
+    } else {
+      layer->thaw();
+    }
+  }
 }
 
 const Tensor& Sequential::forward(const Tensor& input) {

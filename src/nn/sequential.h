@@ -29,13 +29,15 @@ class Sequential : public Module {
   /// there are no layers).
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
-  /// Freezes itself and every layer it holds.
-  void freeze() override;
   std::span<Parameter* const> parameters() override { return params_; }
   std::string name() const override { return "Sequential"; }
 
   std::size_t size() const noexcept { return layers_.size(); }
   Module& layer(std::size_t i) { return *layers_.at(i); }
+
+ protected:
+  /// Freezes or thaws itself and every layer it holds.
+  void set_frozen(bool frozen) override;
 
  private:
   std::vector<std::unique_ptr<Module>> layers_;

@@ -1,5 +1,6 @@
 // Allocation gate: a steady-state training step, a client's whole local
-// training, an eval batch and a ZKA-R synthesis epoch allocate nothing. This binary replaces the global
+// training, an eval (one serial batch, or a whole pool eval), ZKA step 2
+// and a ZKA-R synthesis epoch allocate nothing. This binary replaces the global
 // operator new/delete with counting versions; each case runs its step once
 // to warm the buffers up, then counts every allocation, on any thread, made
 // while the step runs again. Registered at several pool sizes so the
@@ -9,17 +10,22 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
+#include "core/adversarial_trainer.h"
 #include "core/zka_r.h"
 #include "data/loader.h"
+#include "data/local_sgd.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "fl/metrics.h"
 #include "fl/registry.h"
 #include "models/models.h"
 #include "nn/loss.h"
 #include "nn/sgd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -96,11 +102,31 @@ TEST(AllocationGate, CifarTrainingStep) {
   check_training_step(models::Task::kCifar);
 }
 
-// One batch of evaluate_accuracy: fetch, forward, count hits.
+// Runs fn(p) once for every participant p of the global pool, each on its
+// own thread: a body waits until every participant holds one, so none can
+// take a second.
+template <typename Fn>
+void on_every_participant(Fn fn) {
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::size_t n = pool.size() + 1;
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_for(n, [&](std::size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < n) std::this_thread::yield();
+    fn(pool.participant_index());
+  });
+}
+
+// One batch of the serial evaluate_accuracy: fetch, forward, count hits.
+// Then the pool evaluation: after a warm round, in which every participant
+// trained a client on its own replica as Simulation::run does, a whole
+// pool eval allocates nothing. So no replica, batch buffer or thread's
+// staging grows past what training left it.
 TEST(AllocationGate, EvalBatch) {
   const auto dataset =
       data::make_synthetic_dataset(models::Task::kCifar, 128, 7);
-  auto model = models::task_model_factory(models::Task::kCifar)(8);
+  const auto factory = models::task_model_factory(models::Task::kCifar);
+  auto model = factory(8);
   const data::DataLoader loader(dataset, 64);
   data::Batch batch;
   std::int64_t b = 0;
@@ -112,6 +138,43 @@ TEST(AllocationGate, EvalBatch) {
             }),
             0);
   EXPECT_GE(hits, 0);
+
+  const std::vector<float> global = nn::get_flat_params(*model);
+  data::ReplicaSet replicas(factory);
+  std::vector<std::vector<float>> trained(replicas.size());
+  on_every_participant([&](std::size_t p) {
+    data::DataLoader shard(dataset, 32);
+    util::Rng rng(p);
+    data::local_sgd(global, shard, {}, factory, rng, replicas.slot(p),
+                    trained[p]);
+  });
+  // 37 rows: the last batch is partial at any eval batch above 1.
+  const auto test = data::make_synthetic_dataset(models::Task::kCifar, 37, 9);
+  g_allocations.store(0);
+  g_counting.store(true);
+  const double accuracy = fl::evaluate_accuracy(replicas, global, test);
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0);
+  EXPECT_EQ(accuracy, fl::evaluate_accuracy(*model, global, test));
+}
+
+// ZKA step 2 on a kept Cifar classifier at |S| = 16, as ZkaAttack::craft
+// runs it every round: the trainer keeps its buffers across crafts.
+TEST(AllocationGate, AdversarialTrainerWarmTrain) {
+  const auto spec = models::cifar_spec();
+  util::Rng rng(11);
+  auto model = models::task_model_factory(models::Task::kCifar)(12);
+  const std::vector<float> global = nn::get_flat_params(*model);
+  std::vector<float> prev = global;
+  prev[0] += 0.01f;
+  const tensor::Tensor images = tensor::Tensor::uniform(
+      {16, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
+  core::AdversarialTrainer trainer(core::AdversarialTrainerOptions{});
+  EXPECT_EQ(steady_state_allocations([&] {
+              nn::set_flat_params(*model, global);
+              trainer.train(*model, images, 3, global, prev, rng);
+            }),
+            0);
 }
 
 // Filter forward, classifier forward, loss, backward into the filter and

@@ -9,6 +9,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "data/local_sgd.h"
 #include "fl/experiment.h"
 
 namespace zka::fl {
@@ -126,28 +127,30 @@ TEST_P(AttackProperty, RejectsInconsistentContext) {
   EXPECT_THROW(attack->craft(round.context()), std::invalid_argument);
 }
 
-// The simulator lends its training replica to every craft. Two successive
-// crafts on a lent replica, scrambled in parameters and buffers before
-// each as the caller's own training would leave it, must give the bits of
-// the same crafts on the attack's own model.
+// The simulator lends its participant replicas to every craft. Two
+// successive crafts on lent replicas, each scrambled in parameters and
+// buffers before each craft as the caller's own training would leave it,
+// must give the bits of the same crafts on the attack's own models.
 TEST_P(AttackProperty, LentReplicaMatchesOwnModel) {
   const Simulation sim(config());
   const Round round = make_round();
   const auto own = GetParam().make(sim, 7);
   const auto lent = GetParam().make(sim, 7);
   const models::ImageSpec spec = models::task_spec(config().task);
-  const auto replica = models::task_model_factory(config().task)(123);
+  data::ReplicaSet replicas(models::task_model_factory(config().task));
   util::Rng noise(5);
   for (int craft = 0; craft < 2; ++craft) {
-    std::vector<float> scrambled(round.global.size());
-    for (auto& w : scrambled) w = static_cast<float>(noise.normal(0.0, 1.0));
-    nn::set_flat_params(*replica, scrambled);
-    replica->forward(tensor::Tensor::normal(
-        {3, spec.channels, spec.height, spec.width}, noise));
+    for (std::size_t p = 0; p < replicas.size(); ++p) {
+      std::vector<float> scrambled(round.global.size());
+      for (auto& w : scrambled) w = static_cast<float>(noise.normal(0.0, 1.0));
+      nn::set_flat_params(replicas.model(p), scrambled);
+      replicas.model(p).forward(tensor::Tensor::normal(
+          {3, spec.channels, spec.height, spec.width}, noise));
+    }
 
     attack::AttackContext ctx = round.context();
     const std::vector<float> a = own->craft(ctx);
-    ctx.model_replica = replica.get();
+    ctx.replicas = &replicas;
     const std::vector<float> b = lent->craft(ctx);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)

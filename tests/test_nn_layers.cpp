@@ -612,5 +612,95 @@ TEST(Freeze, CifarCnnComputesInputGradientOnly) {
   }
 }
 
+// A module thawed after a FreezeScope backpropagates like one that was never
+// frozen: the same input gradient and the same parameter gradients, bit for
+// bit. The frozen pass runs at another batch size first, so the thawed
+// module also starts from buffers that pass left behind.
+template <typename Make>
+void check_thawed_backward(Make make, const tensor::Shape& input_shape,
+                           const char* what) {
+  const Tensor x = random_input(input_shape, 33);
+  const std::unique_ptr<Module> never = make();
+  const std::unique_ptr<Module> thawed = make();
+  {
+    tensor::Shape frozen_shape = input_shape;
+    frozen_shape[0] += 2;
+    const Tensor xf = random_input(frozen_shape, 34);
+    const FreezeScope frozen(*thawed);
+    EXPECT_TRUE(thawed->frozen()) << what;
+    const Tensor yf = thawed->forward(xf);
+    thawed->backward(random_input(yf.shape(), 35));
+  }
+  EXPECT_FALSE(thawed->frozen()) << what;
+
+  const Tensor y = never->forward(x);
+  const Tensor g = random_input(y.shape(), 36);
+  const Tensor dx_never = never->backward(g);
+  // Two passes: gradients accumulate, and must keep matching.
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) {
+      never->forward(x);
+      never->backward(g);
+    }
+    thawed->forward(x);
+    const Tensor& dx = thawed->backward(g);
+    EXPECT_TRUE(same_bits(dx.data(), dx_never.data())) << what;
+    const auto pn = never->parameters();
+    const auto pt = thawed->parameters();
+    ASSERT_EQ(pn.size(), pt.size()) << what;
+    for (std::size_t i = 0; i < pn.size(); ++i) {
+      EXPECT_TRUE(same_bits(pt[i]->grad.data(), pn[i]->grad.data()))
+          << what << ": parameter " << i << ", pass " << pass;
+    }
+  }
+}
+
+TEST(Freeze, ThawRestoresParameterGradients) {
+  check_thawed_backward(
+      [] {
+        util::Rng rng(41);
+        return std::unique_ptr<Module>(new Conv2d(3, 4, 3, 1, 1, rng));
+      },
+      {3, 3, 9, 9}, "Conv2d");
+  check_thawed_backward(
+      [] {
+        util::Rng rng(42);
+        return std::unique_ptr<Module>(new Linear(12, 5, rng));
+      },
+      {7, 12}, "Linear");
+  check_thawed_backward(
+      [] {
+        util::Rng rng(43);
+        return std::unique_ptr<Module>(
+            new ConvTranspose2d(6, 3, 4, 2, 1, rng));
+      },
+      {4, 6, 5, 5}, "ConvTranspose2d");
+  for (const models::Task task :
+       {models::Task::kFashion, models::Task::kCifar}) {
+    const auto spec = models::task_spec(task);
+    check_thawed_backward(
+        [task] {
+          return std::unique_ptr<Module>(
+              models::task_model_factory(task)(44));
+        },
+        {5, spec.channels, spec.height, spec.width}, models::task_name(task));
+  }
+}
+
+// A scope on a Sequential freezes and then thaws every layer it holds.
+TEST(Freeze, ScopeReachesEveryLayer) {
+  auto net = models::task_model_factory(models::Task::kCifar)(45);
+  {
+    const FreezeScope frozen(*net);
+    for (std::size_t i = 0; i < net->size(); ++i) {
+      EXPECT_TRUE(net->layer(i).frozen()) << "layer " << i;
+    }
+  }
+  EXPECT_FALSE(net->frozen());
+  for (std::size_t i = 0; i < net->size(); ++i) {
+    EXPECT_FALSE(net->layer(i).frozen()) << "layer " << i;
+  }
+}
+
 }  // namespace
 }  // namespace zka::nn
