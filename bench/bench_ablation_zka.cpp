@@ -12,7 +12,7 @@
 #include "core/zka_r.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/client.h"
+#include "fl/registry.h"
 
 namespace {
 
@@ -25,17 +25,18 @@ double probe_separability(models::Task task, attack::Attack& attack,
   const auto factory = models::task_model_factory(task);
   const auto dataset = data::make_synthetic_dataset(task, 400, seed);
   util::Rng rng(seed);
-  const auto parts =
-      data::dirichlet_partition(dataset.labels, 10, 10, 0.5, rng);
+  const fl::ClientRegistry clients(
+      dataset, data::dirichlet_partition(dataset.labels, 10, 10, 0.5, rng),
+      {});
+  // The models the clients train on and the attack crafts on.
+  data::ReplicaSet replicas(factory);
 
   std::vector<float> global = nn::get_flat_params(*factory(seed));
   std::vector<float> prev = global;
   // One warmup aggregation so w(t) != w(t-1).
-  std::vector<std::vector<float>> updates;
+  std::vector<std::vector<float>> updates(8);
   for (int c = 0; c < 8; ++c) {
-    fl::Client client(c, dataset, parts[static_cast<std::size_t>(c)],
-                      factory, {});
-    updates.push_back(client.train(global, seed + 100 + c));
+    clients.train(c, global, seed + 100 + c, replicas.mine(), updates[c]);
   }
   prev = global;
   std::vector<double> acc(global.size(), 0.0);
@@ -50,9 +51,8 @@ double probe_separability(models::Task task, attack::Attack& attack,
   std::vector<std::vector<float>> round;
   std::vector<bool> malicious;
   for (int c = 0; c < 8; ++c) {
-    fl::Client client(c, dataset, parts[static_cast<std::size_t>(c)],
-                      factory, {});
-    round.push_back(client.train(global, seed + 200 + c));
+    round.emplace_back();
+    clients.train(c, global, seed + 200 + c, replicas.mine(), round.back());
     malicious.push_back(false);
   }
   attack::AttackContext ctx;
@@ -60,6 +60,7 @@ double probe_separability(models::Task task, attack::Attack& attack,
   ctx.prev_global_model = prev;
   ctx.num_selected = 10;
   ctx.num_malicious_selected = 2;
+  ctx.replicas = &replicas;
   round.push_back(attack.craft(ctx));
   malicious.push_back(true);
   return analysis::diagnose_updates(round, malicious).separability();

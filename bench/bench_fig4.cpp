@@ -8,6 +8,7 @@
 #include "bench_common.h"
 #include "core/zka_g.h"
 #include "core/zka_r.h"
+#include "data/local_sgd.h"
 #include "nn/module.h"
 
 int main(int argc, char** argv) {
@@ -22,11 +23,15 @@ int main(int argc, char** argv) {
   const auto factory = models::task_model_factory(task);
   const std::vector<float> global = nn::get_flat_params(*factory(seed));
 
+  // The classifier replicas both attacks craft on.
+  data::ReplicaSet replicas(factory);
+
   attack::AttackContext ctx;
   ctx.global_model = global;
   ctx.prev_global_model = global;
   ctx.num_selected = 10;
   ctx.num_malicious_selected = 2;
+  ctx.replicas = &replicas;
 
   core::ZkaOptions zka = bench::default_zka_options(task);
   zka.synthetic_size = s_size;

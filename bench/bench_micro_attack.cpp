@@ -6,10 +6,12 @@
 // the main thread's CPU clock would not count.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "core/zka_g.h"
 #include "core/zka_r.h"
 #include "data/synthetic.h"
-#include "fl/client.h"
+#include "fl/registry.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -17,12 +19,14 @@ namespace {
 
 using namespace zka;
 
-attack::AttackContext make_context(const std::vector<float>& global) {
+attack::AttackContext make_context(const std::vector<float>& global,
+                                   data::ReplicaSet& replicas) {
   attack::AttackContext ctx;
   ctx.global_model = global;
   ctx.prev_global_model = global;
   ctx.num_selected = 10;
   ctx.num_malicious_selected = 2;
+  ctx.replicas = &replicas;
   return ctx;
 }
 
@@ -38,16 +42,20 @@ void BM_BenignClientRound(benchmark::State& state) {
   const auto dataset =
       data::make_synthetic_dataset(models::Task::kFashion, samples, 7);
   const auto factory = models::task_model_factory(models::Task::kFashion);
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(samples));
-  for (std::int64_t i = 0; i < samples; ++i) {
-    idx[static_cast<std::size_t>(i)] = i;
-  }
-  fl::Client client(0, dataset, idx, factory, {});
+  // One client that owns every sample, trained on a kept replica as the
+  // simulation trains it.
+  std::vector<std::vector<std::int64_t>> parts(1);
+  parts[0].resize(static_cast<std::size_t>(samples));
+  std::iota(parts[0].begin(), parts[0].end(), std::int64_t{0});
+  const fl::ClientRegistry clients(dataset, std::move(parts), {});
+  data::ReplicaSet replicas(factory);
   const std::vector<float> global = nn::get_flat_params(*factory(1));
+  std::vector<float> update;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    auto update = client.train(global, ++seed);
+    clients.train(0, global, ++seed, replicas.mine(), update);
     benchmark::DoNotOptimize(update.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BenignClientRound)
@@ -60,7 +68,8 @@ void BM_ZkaRCraft(benchmark::State& state) {
   const std::vector<float> global = nn::get_flat_params(*factory(1));
   core::ZkaRAttack attack(models::Task::kFashion,
                           options_with_size(state.range(0)), 3);
-  const auto ctx = make_context(global);
+  data::ReplicaSet replicas(factory);
+  const auto ctx = make_context(global, replicas);
   for (auto _ : state) {
     auto update = attack.craft(ctx);
     benchmark::DoNotOptimize(update.data());
@@ -76,7 +85,8 @@ void BM_ZkaGCraft(benchmark::State& state) {
   const std::vector<float> global = nn::get_flat_params(*factory(1));
   core::ZkaGAttack attack(models::Task::kFashion,
                           options_with_size(state.range(0)), 3);
-  const auto ctx = make_context(global);
+  data::ReplicaSet replicas(factory);
+  const auto ctx = make_context(global, replicas);
   for (auto _ : state) {
     auto update = attack.craft(ctx);
     benchmark::DoNotOptimize(update.data());
@@ -93,7 +103,8 @@ void BM_ZkaRFilterKernelSweep(benchmark::State& state) {
   core::ZkaOptions zka = options_with_size(16);
   zka.filter_kernel = state.range(0);
   core::ZkaRAttack attack(models::Task::kFashion, zka, 3);
-  const auto ctx = make_context(global);
+  data::ReplicaSet replicas(factory);
+  const auto ctx = make_context(global, replicas);
   for (auto _ : state) {
     auto update = attack.craft(ctx);
     benchmark::DoNotOptimize(update.data());

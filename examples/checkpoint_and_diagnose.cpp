@@ -30,14 +30,13 @@ struct MiniFederation {
   models::ModelFactory factory;
   data::Dataset train;
   data::Dataset test;
-  std::vector<std::vector<std::int64_t>> parts;  // the clients' shards
-  std::vector<fl::Client> clients;
+  fl::ClientRegistry clients;  // 40 Dirichlet shards of `train`
   std::int64_t num_malicious = 8;  // 20%
   std::vector<float> global;
   std::vector<float> prev;
   util::Rng rng;
-  // The models the attack crafts on and the server evaluates on, one per
-  // thread-pool participant.
+  // The models the clients train on, the attack crafts on and the server
+  // evaluates on, one per thread-pool participant.
   data::ReplicaSet replicas;
 
   explicit MiniFederation(std::uint64_t seed)
@@ -45,17 +44,17 @@ struct MiniFederation {
         train(data::make_synthetic_dataset(models::Task::kFashion, 800, seed)),
         test(data::make_synthetic_dataset(models::Task::kFashion, 250,
                                           seed ^ 0x7e57)),
+        clients(train,
+                [&] {
+                  util::Rng part_rng(seed);
+                  return data::dirichlet_partition(train.labels, 10, 40, 0.5,
+                                                   part_rng);
+                }(),
+                data::LocalSgdOptions{}),
         global(nn::get_flat_params(*factory(seed))),
         prev(global),
         rng(seed ^ 0xfeed),
-        replicas(factory) {
-    util::Rng part_rng(seed);
-    parts = data::dirichlet_partition(train.labels, 10, 40, 0.5, part_rng);
-    for (std::int64_t c = 0; c < 40; ++c) {
-      clients.emplace_back(c, train, parts[static_cast<std::size_t>(c)],
-                           factory, data::LocalSgdOptions{});
-    }
-  }
+        replicas(factory) {}
   MiniFederation(const MiniFederation&) = delete;
   MiniFederation& operator=(const MiniFederation&) = delete;
 
@@ -66,9 +65,11 @@ struct MiniFederation {
     std::vector<bool> malicious_flags;
     std::vector<std::vector<float>> benign;
     for (const auto c : sampled) {
-      if (static_cast<std::int64_t>(c) >= num_malicious) {
-        benign.push_back(clients[c].train(
-            global, 7777 + round_index * 97 + c));
+      const auto id = static_cast<std::int64_t>(c);
+      if (id >= num_malicious) {
+        benign.emplace_back();
+        clients.train(id, global, 7777 + round_index * 97 + c,
+                      replicas.mine(), benign.back());
       }
     }
     attack::AttackContext ctx;

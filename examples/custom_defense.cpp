@@ -99,22 +99,18 @@ double run_with_aggregator(defense::Aggregator& aggregator,
   const auto attack = fl::make_attack(kind, sim, core::ZkaOptions{}, seed);
 
   const auto factory = models::task_model_factory(config.task);
-  // The models the attack crafts on and the server evaluates on, one per
-  // thread-pool participant.
+  // The models the clients train on, the attack crafts on and the server
+  // evaluates on, one per thread-pool participant.
   data::ReplicaSet replicas(factory);
   std::vector<float> global = nn::get_flat_params(*factory(seed));
   std::vector<float> prev = global;
 
-  // The clients borrow their shards from `parts`.
   util::Rng part_rng(seed);
-  const auto parts = data::dirichlet_partition(
-      sim.train_data().labels, 10, config.num_clients, 0.5, part_rng);
-  std::vector<fl::Client> clients;
-  for (std::int64_t c = 0; c < config.num_clients; ++c) {
-    clients.emplace_back(c, sim.train_data(),
-                         parts[static_cast<std::size_t>(c)], factory,
-                         config.client);
-  }
+  const fl::ClientRegistry clients(
+      sim.train_data(),
+      data::dirichlet_partition(sim.train_data().labels, 10,
+                                config.num_clients, 0.5, part_rng),
+      config.client);
 
   util::Rng rng(seed ^ 0xc0ffee);
   double best = 0.0;
@@ -126,8 +122,11 @@ double run_with_aggregator(defense::Aggregator& aggregator,
     std::vector<std::int64_t> weights;
     std::vector<defense::Update> benign;
     for (const auto c : sampled) {
-      if (static_cast<std::int64_t>(c) >= sim.num_malicious()) {
-        benign.push_back(clients[c].train(global, seed + round * 131 + c));
+      const auto id = static_cast<std::int64_t>(c);
+      if (id >= sim.num_malicious()) {
+        benign.emplace_back();
+        clients.train(id, global, seed + round * 131 + c, replicas.mine(),
+                      benign.back());
       }
     }
     attack::AttackContext ctx;
@@ -149,7 +148,8 @@ double run_with_aggregator(defense::Aggregator& aggregator,
       } else {
         updates.emplace_back(benign[cursor++]);
       }
-      weights.push_back(std::max<std::int64_t>(clients[c].num_samples(), 1));
+      weights.push_back(std::max<std::int64_t>(
+          clients.num_samples(static_cast<std::int64_t>(c)), 1));
     }
     prev = global;
     global = aggregator.aggregate(updates, weights).model;

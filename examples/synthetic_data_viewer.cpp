@@ -9,6 +9,7 @@
 
 #include "core/zka_g.h"
 #include "core/zka_r.h"
+#include "data/local_sgd.h"
 #include "data/synthetic.h"
 #include "nn/loss.h"
 #include "util/cli.h"
@@ -73,12 +74,15 @@ int main(int argc, char** argv) {
   const auto factory = models::task_model_factory(task);
   auto model = factory(seed);
   const std::vector<float> global = nn::get_flat_params(*model);
+  // The classifier replicas the attack crafts on.
+  data::ReplicaSet replicas(factory);
 
   attack::AttackContext ctx;
   ctx.global_model = global;
   ctx.prev_global_model = global;
   ctx.num_selected = 10;
   ctx.num_malicious_selected = 2;
+  ctx.replicas = &replicas;
 
   core::ZkaOptions zka;
   zka.synthetic_size = count;

@@ -47,9 +47,9 @@ struct AttackContext {
   /// thread pool, that the attack may use as working space: their
   /// parameters and buffers are overwritten, and the caller reloads them
   /// before its own next use. The simulator lends the replicas it trains
-  /// and evaluates on, so crafting adds no model of its own. Null when the
-  /// caller has none to lend: an attack that needs models then keeps a
-  /// set of its own, of the same type, and runs the same code on it.
+  /// and evaluates on, so crafting adds no model of its own. The attacks
+  /// that train a model (the ZKA variants, Real-data, label flip) require
+  /// it; the others ignore it.
   data::ReplicaSet* replicas = nullptr;
 };
 
@@ -80,5 +80,9 @@ class Attack {
 /// Throws std::invalid_argument if an omniscient attack is invoked without
 /// benign updates, or a context field is inconsistent.
 void validate_context(const Attack& attack, const AttackContext& ctx);
+
+/// ctx.replicas, for an attack that trains a model; throws
+/// std::invalid_argument when the caller lent none.
+data::ReplicaSet& lent_replicas(const Attack& attack, const AttackContext& ctx);
 
 }  // namespace zka::attack

@@ -4,30 +4,27 @@
 // y -> (L - 1) - y.
 #pragma once
 
-#include <memory>
-
 #include "attack/attack.h"
 #include "data/dataset.h"
 #include "data/local_sgd.h"
-#include "models/models.h"
 #include "util/rng.h"
 
 namespace zka::attack {
 
 class LabelFlipAttack : public Attack {
  public:
-  LabelFlipAttack(data::Dataset dataset, models::ModelFactory factory,
-                  data::LocalSgdOptions options, std::uint64_t seed);
+  LabelFlipAttack(data::Dataset dataset, data::LocalSgdOptions options,
+                  std::uint64_t seed);
 
+  /// Trains the calling participant's replica of ctx.replicas (required)
+  /// on the whole flipped dataset.
   Update craft(const AttackContext& ctx) override;
   std::string name() const override { return "LabelFlip"; }
 
  private:
   data::Dataset dataset_;
-  models::ModelFactory factory_;
   data::LocalSgdOptions options_;
   util::Rng rng_;
-  data::TrainScratch scratch_;  // trains when no replicas are lent
 };
 
 }  // namespace zka::attack

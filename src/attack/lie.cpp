@@ -42,6 +42,14 @@ void validate_context(const Attack& attack, const AttackContext& ctx) {
   }
 }
 
+data::ReplicaSet& lent_replicas(const Attack& attack,
+                                const AttackContext& ctx) {
+  ZKA_CHECK(ctx.replicas != nullptr,
+            "%s trains a model and needs the caller's replicas",
+            attack.name().c_str());
+  return *ctx.replicas;
+}
+
 double LieAttack::compute_z(std::int64_t n, std::int64_t m) {
   // n participants, m of them malicious; s benign supporters needed.
   const std::int64_t s = n / 2 + 1 - m;

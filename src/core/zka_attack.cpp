@@ -11,7 +11,6 @@ ZkaAttack::ZkaAttack(models::Task task, ZkaOptions options,
     : spec_(models::task_spec(task)),
       options_(options),
       rng_(seed),
-      factory_(models::task_model_factory(task)),
       trainer_(options.classifier),
       decoy_label_(options.decoy_label >= 0
                        ? options.decoy_label
@@ -34,15 +33,11 @@ const tensor::Tensor& ZkaAttack::last_synthetic_images() const {
 attack::Update ZkaAttack::craft(const attack::AttackContext& ctx) {
   ZKA_PROF_SCOPE(craft_scope_);
   attack::validate_context(*this, ctx);
+  data::ReplicaSet& replicas = attack::lent_replicas(*this, ctx);
 
   // Every craft opens with one draw that nothing reads: step 1 and step 2
   // draw their streams after it.
   static_cast<void>(rng_());
-  if (ctx.replicas == nullptr && !own_replicas_) {
-    own_replicas_.emplace(factory_);
-  }
-  data::ReplicaSet& replicas =
-      ctx.replicas != nullptr ? *ctx.replicas : *own_replicas_;
   images_ = &synthesize(replicas, ctx.global_model);
 
   // Step 2: adversarial classifier training on (S, Ỹ) with L_d.

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,8 +27,8 @@ class ZkaAttack : public attack::Attack {
   ZkaAttack(const ZkaAttack&) = delete;
   ZkaAttack& operator=(const ZkaAttack&) = delete;
 
-  /// Runs step 1 on the classifier replicas (the set the caller lends in
-  /// ctx, else one of its own kept across crafts), then loads w(t) into the
+  /// Runs step 1 on the classifier replicas the caller lends in ctx
+  /// (std::invalid_argument when it lends none), then loads w(t) into the
   /// calling participant's replica, trains it on the step-1 images and
   /// returns its parameters.
   attack::Update craft(const attack::AttackContext& ctx) final;
@@ -72,13 +71,10 @@ class ZkaAttack : public attack::Attack {
   std::vector<double> loss_history_;
 
  private:
-  models::ModelFactory factory_;
   AdversarialTrainer trainer_;
   std::int64_t decoy_label_;
   const char* craft_scope_;
   const char* train_scope_;
-  // The replicas when the caller lends none; built by the first such craft.
-  std::optional<data::ReplicaSet> own_replicas_;
   const tensor::Tensor* images_ = nullptr;
 };
 

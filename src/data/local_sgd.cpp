@@ -1,6 +1,7 @@
 #include "data/local_sgd.h"
 
 #include "nn/sgd.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -26,15 +27,16 @@ void ReplicaSet::load(std::span<const float> params) {
   }
 }
 
-void local_sgd(std::span<const float> global, DataLoader& loader,
-               const LocalSgdOptions& options,
-               const models::ModelFactory& factory, util::Rng& rng,
+void local_sgd(std::span<const float> global, const Dataset& dataset,
+               const LocalSgdOptions& options, util::Rng& rng,
                TrainScratch& scratch, std::vector<float>& out) {
-  const std::uint64_t model_seed = rng.split(1)();
-  if (!scratch.model) scratch.model = factory(model_seed);
+  ZKA_CHECK(scratch.model != nullptr, "local_sgd: the scratch has no model");
+  static_cast<void>(rng());
   nn::Sequential& model = *scratch.model;
   nn::set_flat_params(model, global);
   nn::Sgd optimizer(model, {.learning_rate = options.learning_rate});
+  // The loader shuffles the kept index list in place and hands it back.
+  DataLoader loader(dataset, std::move(scratch.indices), options.batch_size);
   for (std::int64_t epoch = 0; epoch < options.local_epochs; ++epoch) {
     loader.shuffle(rng);
     for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
@@ -43,6 +45,7 @@ void local_sgd(std::span<const float> global, DataLoader& loader,
                    scratch.batch.labels);
     }
   }
+  scratch.indices = std::move(loader).release_indices();
   nn::get_flat_params(model, out);
 }
 

@@ -1,6 +1,6 @@
 // Local SGD from a global model (Eq. 1): the one training loop behind
-// benign clients (fl::Client), the label-flipping attacker and FLTrust's
-// server-side reference update.
+// benign clients (fl::ClientRegistry::train), the label-flipping attacker
+// and FLTrust's server-side reference update.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +20,11 @@ struct LocalSgdOptions {
   float learning_rate = 0.05f;
 };
 
-/// What local_sgd reuses from one call to the next: a model (built on first
-/// use) and the batch and loss buffers, plus the shard index buffer
-/// fl::Client::train shuffles. A training thread that keeps one across
-/// calls trains allocation-free in steady state; it must not be shared by
-/// concurrent calls.
+/// What local_sgd reuses from one call to the next: a model, the batch and
+/// loss buffers, and the index list of the rows it trains on, which it
+/// shuffles in place. A training thread that keeps one across calls trains
+/// allocation-free in steady state; it must not be shared by concurrent
+/// calls.
 struct TrainScratch {
   std::unique_ptr<nn::Sequential> model;
   Batch batch;
@@ -62,16 +62,16 @@ class ReplicaSet {
   std::vector<TrainScratch> slots_;
 };
 
-/// Loads `global` into a model, runs options.local_epochs epochs of
-/// mini-batches of `loader` (built at options.batch_size), reshuffled from
-/// `rng` before each, and writes the trained parameters into `out`. The
-/// model is scratch.model, built by `factory` from a seed drawn from `rng`
-/// when the scratch has none; every parameter is loaded from `global`, so
-/// its previous contents never matter. The seed is drawn either way, so
-/// the shuffles read the same stream whichever model trains.
-void local_sgd(std::span<const float> global, DataLoader& loader,
-               const LocalSgdOptions& options,
-               const models::ModelFactory& factory, util::Rng& rng,
+/// Loads `global` into scratch.model, which must be built, runs
+/// options.local_epochs epochs of options.batch_size-row mini-batches of
+/// the `dataset` rows listed in scratch.indices, reshuffled from `rng`
+/// before each, and writes the trained parameters into `out`. Every
+/// parameter is loaded from `global`, so the model's previous contents
+/// never matter. The shuffles permute scratch.indices in place. They come
+/// after one draw of `rng` that nothing reads: the shuffle stream, and with
+/// it every pinned training result, starts after that draw.
+void local_sgd(std::span<const float> global, const Dataset& dataset,
+               const LocalSgdOptions& options, util::Rng& rng,
                TrainScratch& scratch, std::vector<float>& out);
 
 }  // namespace zka::data

@@ -10,11 +10,13 @@
 
 namespace zka::defense {
 
-FlTrust::FlTrust(data::Dataset root, models::ModelFactory factory,
+FlTrust::FlTrust(data::Dataset root, const models::ModelFactory& factory,
                  data::LocalSgdOptions options, std::uint64_t seed)
-    : root_(std::move(root)), factory_(std::move(factory)),
-      options_(options), rng_(seed) {
+    : root_(std::move(root)), options_(options), rng_(seed) {
   ZKA_CHECK(root_.size() > 0, "FlTrust: root dataset is empty");
+  // Every parameter is loaded from w(t) before it trains, so the seed is
+  // immaterial.
+  scratch_.model = factory(0);
 }
 
 void FlTrust::begin_round(std::span<const float> global_model,
@@ -23,8 +25,9 @@ void FlTrust::begin_round(std::span<const float> global_model,
 
   // Train the server's reference update from the broadcast model.
   util::Rng round_rng = rng_.split(static_cast<std::uint64_t>(round) + 1);
-  data::DataLoader loader(root_, options_.batch_size);
-  data::local_sgd(global_, loader, options_, factory_, round_rng, scratch_,
+  scratch_.indices.resize(static_cast<std::size_t>(root_.size()));
+  std::iota(scratch_.indices.begin(), scratch_.indices.end(), std::int64_t{0});
+  data::local_sgd(global_, root_, options_, round_rng, scratch_,
                   server_update_);
 }
 

@@ -19,8 +19,10 @@ namespace zka::defense {
 class FlTrust : public Aggregator {
  public:
   /// `root` is the server's clean dataset (typically ~100 samples);
-  /// `options` should match the clients' training configuration.
-  FlTrust(data::Dataset root, models::ModelFactory factory,
+  /// `options` should match the clients' training configuration. The
+  /// server's one model is built here by `factory` and kept across rounds:
+  /// an aggregator has no context to borrow a model through.
+  FlTrust(data::Dataset root, const models::ModelFactory& factory,
           data::LocalSgdOptions options, std::uint64_t seed);
 
   void begin_round(std::span<const float> global_model,
@@ -37,7 +39,6 @@ class FlTrust : public Aggregator {
 
  private:
   data::Dataset root_;
-  models::ModelFactory factory_;
   data::LocalSgdOptions options_;
   util::Rng rng_;
   data::TrainScratch scratch_;  // the server's model, kept across rounds

@@ -101,8 +101,7 @@ std::unique_ptr<attack::Attack> make_attack(AttackKind kind,
       return std::make_unique<attack::RandomWeightsAttack>(0.5f, seed);
     case AttackKind::kLabelFlip:
       return std::make_unique<attack::LabelFlipAttack>(
-          sim.malicious_data(), models::task_model_factory(task),
-          sim.config().client, seed);
+          sim.malicious_data(), sim.config().client, seed);
     case AttackKind::kMinSum:
       return std::make_unique<attack::MinSumAttack>();
     case AttackKind::kFreeRider:

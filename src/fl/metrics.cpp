@@ -21,13 +21,6 @@ double defense_pass_rate(std::int64_t passed, std::int64_t selected) noexcept {
   return static_cast<double>(passed) / static_cast<double>(selected) * 100.0;
 }
 
-double evaluate_accuracy(const models::ModelFactory& factory,
-                         std::span<const float> params,
-                         const data::Dataset& dataset,
-                         std::int64_t batch_size) {
-  return evaluate_accuracy(*factory(0), params, dataset, batch_size);
-}
-
 double evaluate_accuracy(nn::Module& model, std::span<const float> params,
                          const data::Dataset& dataset,
                          std::int64_t batch_size) {

@@ -20,15 +20,9 @@ double attack_success_rate(double acc_natk, double acc_max) noexcept;
 /// (e.g. statistic defenses where DPR is undefined).
 double defense_pass_rate(std::int64_t passed, std::int64_t selected) noexcept;
 
-/// Test accuracy of a flat parameter vector on a dataset (batched
-/// inference through a freshly materialized model).
-double evaluate_accuracy(const models::ModelFactory& factory,
-                         std::span<const float> params,
-                         const data::Dataset& dataset,
-                         std::int64_t batch_size = 64);
-
-/// Same, on a model the caller keeps: `params` is loaded into it, and its
-/// layer buffers are reused across batches and calls. The serial
+/// Test accuracy of a flat parameter vector on a dataset, by batched
+/// inference on a model the caller keeps: `params` is loaded into it, and
+/// its layer buffers are reused across batches and calls. The serial
 /// reference of the pool evaluation below.
 double evaluate_accuracy(nn::Module& model, std::span<const float> params,
                          const data::Dataset& dataset,

@@ -3,16 +3,15 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace zka::fl {
 
 ClientRegistry::ClientRegistry(const data::Dataset& dataset,
                                std::vector<std::vector<std::int64_t>> parts,
-                               models::ModelFactory factory,
                                data::LocalSgdOptions options)
     : dataset_(&dataset),
       parts_(std::move(parts)),
-      factory_(std::move(factory)),
       options_(options),
       population_(static_cast<std::int64_t>(parts_.size())) {
   ZKA_CHECK(!parts_.empty(), "ClientRegistry: empty partition");
@@ -20,11 +19,9 @@ ClientRegistry::ClientRegistry(const data::Dataset& dataset,
 
 ClientRegistry::ClientRegistry(const data::Dataset& dataset,
                                data::HashedShardSpec spec,
-                               models::ModelFactory factory,
                                data::LocalSgdOptions options)
     : dataset_(&dataset),
       spec_(spec),
-      factory_(std::move(factory)),
       options_(options),
       population_(spec.population()) {
   ZKA_CHECK(spec.dataset_size() == dataset.size(),
@@ -46,17 +43,25 @@ std::int64_t ClientRegistry::num_samples(std::int64_t id) const {
   return static_cast<std::int64_t>(parts_[static_cast<std::size_t>(id)].size());
 }
 
-std::vector<std::int64_t> ClientRegistry::shard(std::int64_t id) const {
+void ClientRegistry::shard(std::int64_t id,
+                           std::vector<std::int64_t>& out) const {
   check_id(id);
-  if (lazy()) return spec_->shard(id);
-  return parts_[static_cast<std::size_t>(id)];
+  if (lazy()) {
+    spec_->shard(id, out);
+  } else {
+    const auto& part = parts_[static_cast<std::size_t>(id)];
+    out.assign(part.begin(), part.end());
+  }
 }
 
-Client ClientRegistry::client(std::int64_t id) const {
-  check_id(id);
-  if (lazy()) return Client(id, *dataset_, *spec_, factory_, options_);
-  return Client(id, *dataset_, parts_[static_cast<std::size_t>(id)], factory_,
-                options_);
+void ClientRegistry::train(std::int64_t id, std::span<const float> global,
+                           std::uint64_t seed, data::TrainScratch& scratch,
+                           std::vector<float>& out) const {
+  ZKA_CHECK(!global.empty(), "ClientRegistry: client %lld got an empty model",
+            static_cast<long long>(id));
+  shard(id, scratch.indices);
+  util::Rng rng(seed);
+  data::local_sgd(global, *dataset_, options_, rng, scratch, out);
 }
 
 }  // namespace zka::fl

@@ -1,5 +1,5 @@
-// Lazy client registry: the production-scale replacement for materializing
-// one fl::Client per population member.
+// The client population: the one module that knows where a client's shard
+// comes from, and the one that trains a client on it.
 //
 // Cross-device FL populations (10^5-10^6 devices, a few hundred sampled per
 // round) make "a vector of all clients" the dominant memory cost of the
@@ -7,8 +7,8 @@
 // round. The registry instead stores only a *description* of the
 // population — either a materialized per-client partition (the legacy
 // small-n path: IID / Dirichlet label-skew shards) or a data::HashedShardSpec
-// whose shards are computed on demand in O(shard) — and instantiates a
-// Client only when the round sampler actually picks it. Sample counts are
+// whose shards are computed on demand in O(shard) — and computes a shard
+// only when the round sampler picks its client. Sample counts are
 // available without materialization, so FedAvg weights and the benign
 // median weight cost O(k) per round, not O(population).
 //
@@ -18,12 +18,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/local_sgd.h"
 #include "data/partition.h"
-#include "fl/client.h"
-#include "models/models.h"
 
 namespace zka::fl {
 
@@ -33,13 +33,11 @@ class ClientRegistry {
   /// population is parts.size()). `dataset` must outlive the registry.
   ClientRegistry(const data::Dataset& dataset,
                  std::vector<std::vector<std::int64_t>> parts,
-                 models::ModelFactory factory,
                  data::LocalSgdOptions options);
 
   /// Registry over a lazy shard spec: shards exist only while a sampled
-  /// client is live.
+  /// client trains.
   ClientRegistry(const data::Dataset& dataset, data::HashedShardSpec spec,
-                 models::ModelFactory factory,
                  data::LocalSgdOptions options);
 
   std::int64_t population() const noexcept { return population_; }
@@ -51,13 +49,19 @@ class ClientRegistry {
   /// registries (every shard has spec.shard_size() samples).
   std::int64_t num_samples(std::int64_t id) const;
 
-  /// Client `id`'s shard indices (computed on demand when lazy).
-  std::vector<std::int64_t> shard(std::int64_t id) const;
+  /// Client `id`'s shard indices into `out` (computed on demand when
+  /// lazy), in the order every train() starts shuffling from. A kept
+  /// `out` makes the call allocation-free.
+  void shard(std::int64_t id, std::vector<std::int64_t>& out) const;
 
-  /// Client `id`, borrowing its shard (or the spec that computes it) and
-  /// everything else from the registry, which must outlive it. Allocates
-  /// nothing.
-  Client client(std::int64_t id) const;
+  /// Trains client `id` by local SGD (Eq. 1) from `global` on
+  /// scratch.model, which must be built, and writes the trained parameters
+  /// into `out`. Deterministic in (id, global, seed), whatever the model
+  /// held before; concurrent calls need distinct scratches. A warm scratch
+  /// makes the call allocation-free.
+  void train(std::int64_t id, std::span<const float> global,
+             std::uint64_t seed, data::TrainScratch& scratch,
+             std::vector<float>& out) const;
 
  private:
   void check_id(std::int64_t id) const;
@@ -65,7 +69,6 @@ class ClientRegistry {
   const data::Dataset* dataset_;
   std::optional<data::HashedShardSpec> spec_;
   std::vector<std::vector<std::int64_t>> parts_;  // empty when lazy
-  models::ModelFactory factory_;
   data::LocalSgdOptions options_;
   std::int64_t population_ = 0;
 };

@@ -74,7 +74,7 @@ Simulation::Simulation(SimulationConfig config)
   if (production) {
     const data::HashedShardSpec spec(train_.size(), population,
                                      config_.samples_per_client, part_rng());
-    registry_.emplace(train_, spec, factory_, config_.client);
+    registry_.emplace(train_, spec, config_.client);
   } else {
     auto parts =
         config_.beta > 0.0
@@ -83,7 +83,7 @@ Simulation::Simulation(SimulationConfig config)
                                         part_rng)
             : data::iid_partition(train_.size(), config_.num_clients,
                                   part_rng);
-    registry_.emplace(train_, std::move(parts), factory_, config_.client);
+    registry_.emplace(train_, std::move(parts), config_.client);
   }
 
   num_malicious_ = static_cast<std::int64_t>(
@@ -101,8 +101,9 @@ Simulation::Simulation(SimulationConfig config)
 
 data::Dataset Simulation::malicious_data() const {
   std::vector<std::int64_t> indices;
+  std::vector<std::int64_t> shard;
   for (std::int64_t c = 0; c < num_malicious_; ++c) {
-    const auto shard = registry_->shard(c);
+    registry_->shard(c, shard);
     indices.insert(indices.end(), shard.begin(), shard.end());
   }
   return train_.subset(indices);
@@ -234,13 +235,12 @@ SimulationResult Simulation::run(attack::Attack* attack) {
         // update is independent of scheduling order.
         const auto train_one = [&](std::size_t k) {
           ZKA_PROF_SCOPE("client_train/one");
-          const Client client =
-              registry_->client(static_cast<std::int64_t>(wave_benign[k]));
+          const auto id = static_cast<std::int64_t>(wave_benign[k]);
           const std::uint64_t seed =
               config_.seed * 0x9e3779b97f4a7c15ULL +
               static_cast<std::uint64_t>(round) * 1315423911ULL +
-              static_cast<std::uint64_t>(client.id());
-          client.train(global, seed, replicas.mine(), wave_updates[k]);
+              static_cast<std::uint64_t>(id);
+          registry_->train(id, global, seed, replicas.mine(), wave_updates[k]);
         };
         if (config_.parallel_clients) {
           pool.parallel_for(wave_benign.size(), train_one);

@@ -11,7 +11,7 @@
 //     from the IID/Dirichlet partition — the paper's Table-2 setup,
 //     bit-compatible with historical seeds;
 //   * production (population > 0): a lazy ClientRegistry over a
-//     HashedShardSpec instantiates only the clients sampled this round;
+//     HashedShardSpec computes only the shards sampled this round;
 //     sampling is O(K) (Floyd).
 // Every round is one stream (defense/aggregator.h): train the first wave,
 // craft once, then begin_stream, stream_update wave by wave, replay,
@@ -31,7 +31,6 @@
 #include "attack/attack.h"
 #include "data/dataset.h"
 #include "defense/aggregator.h"
-#include "fl/client.h"
 #include "fl/registry.h"
 #include "models/models.h"
 

@@ -265,33 +265,6 @@ void gemm_a_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   gemm_driver(GemmLayout::kABt, m, n, k, alpha, a, b, beta, c);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  ZKA_CHECK(a.rank() == 2 && b.rank() == 2,
-            "matmul requires rank-2 tensors, got %s @ %s",
-            shape_to_string(a.shape()).c_str(),
-            shape_to_string(b.shape()).c_str());
-  ZKA_CHECK(a.dim(1) == b.dim(0), "matmul inner dimensions differ: %s @ %s",
-            shape_to_string(a.shape()).c_str(),
-            shape_to_string(b.shape()).c_str());
-  Tensor c({a.dim(0), b.dim(1)});
-  gemm(a.dim(0), b.dim(1), a.dim(1), 1.0f, a.raw(), b.raw(), 0.0f, c.raw());
-  return c;
-}
-
-Tensor transpose2d(const Tensor& a) {
-  ZKA_CHECK(a.rank() == 2, "transpose2d requires rank 2, got %s",
-            shape_to_string(a.shape()).c_str());
-  const std::int64_t rows = a.dim(0);
-  const std::int64_t cols = a.dim(1);
-  Tensor t({cols, rows});
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      t[j * rows + i] = a[i * cols + j];
-    }
-  }
-  return t;
-}
-
 void im2col(const ConvGeometry& g, const float* image, float* col) noexcept {
   dcheck_geometry(g, 1);
   im2col_one(g, image, col, g.out_h() * g.out_w(), 0);

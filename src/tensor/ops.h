@@ -59,12 +59,6 @@ void gemm_at_b(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void gemm_a_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                const float* a, const float* b, float beta, float* c) noexcept;
 
-/// 2-D matrix multiply on tensors: [M,K] @ [K,N] -> [M,N].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Transpose of a rank-2 tensor.
-Tensor transpose2d(const Tensor& a);
-
 /// Convolution geometry (square kernels, symmetric padding/stride).
 struct ConvGeometry {
   std::int64_t in_channels = 0;

@@ -24,7 +24,12 @@ ZkaOptions tiny_options() {
 
 attack::AttackContext context_for(const std::vector<float>& global,
                                   const std::vector<float>& prev) {
+  // The classifier replicas every craft here borrows, as a simulation
+  // lends its own.
+  static data::ReplicaSet replicas(
+      models::task_model_factory(models::Task::kFashion));
   attack::AttackContext ctx;
+  ctx.replicas = &replicas;
   ctx.global_model = global;
   ctx.prev_global_model = prev;
   ctx.num_selected = 10;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -73,8 +74,8 @@ TEST(AllocationGate, CounterSeesAllocations) {
             1);
 }
 
-// Batch fetch, forward, loss, backward and Sgd::step, as Client::train
-// runs them.
+// Batch fetch, forward, loss, backward and Sgd::step, as local SGD runs
+// them.
 void check_training_step(models::Task task) {
   const auto dataset = data::make_synthetic_dataset(task, 96, 4);
   util::Rng rng(5);
@@ -143,10 +144,11 @@ TEST(AllocationGate, EvalBatch) {
   data::ReplicaSet replicas(factory);
   std::vector<std::vector<float>> trained(replicas.size());
   on_every_participant([&](std::size_t p) {
-    data::DataLoader shard(dataset, 32);
+    data::TrainScratch& scratch = replicas.slot(p);
+    scratch.indices.resize(static_cast<std::size_t>(dataset.size()));
+    std::iota(scratch.indices.begin(), scratch.indices.end(), std::int64_t{0});
     util::Rng rng(p);
-    data::local_sgd(global, shard, {}, factory, rng, replicas.slot(p),
-                    trained[p]);
+    data::local_sgd(global, dataset, {}, rng, scratch, trained[p]);
   });
   // 37 rows: the last batch is partial at any eval batch above 1.
   const auto test = data::make_synthetic_dataset(models::Task::kCifar, 37, 9);
@@ -201,19 +203,20 @@ TEST(AllocationGate, ZkaRSynthesisEpoch) {
   }
 }
 
-// registry.client(id).train(...) on a warm TrainScratch, as the simulator's
-// pool threads run it: the client, its shard and the local SGD all reuse
-// what the scratch kept. Each step trains two clients one after the other.
+// registry.train(id, ...) on a warm replica, as the simulator's pool
+// threads run it: the shard and the local SGD reuse what the replica's
+// scratch kept. Each step trains two clients one after the other.
 void check_client_train(const fl::ClientRegistry& registry,
                         const char* what) {
   const auto factory = models::task_model_factory(models::Task::kFashion);
   const std::vector<float> global = nn::get_flat_params(*factory(12));
-  data::TrainScratch scratch;
+  data::ReplicaSet replicas(factory);
+  data::TrainScratch& scratch = replicas.mine();
   std::vector<float> out;
   std::uint64_t seed = 0;
   EXPECT_EQ(steady_state_allocations([&] {
               for (const std::int64_t id : {3, 4}) {
-                registry.client(id).train(global, ++seed, scratch, out);
+                registry.train(id, global, ++seed, scratch, out);
               }
             }),
             0)
@@ -227,9 +230,7 @@ TEST(AllocationGate, PartitionedRegistryClientTrain) {
   for (std::int64_t i = 0; i < dataset.size(); ++i) {
     parts[static_cast<std::size_t>(i % 7 == 0 ? 3 : i % 6)].push_back(i);
   }
-  const fl::ClientRegistry registry(
-      dataset, std::move(parts),
-      models::task_model_factory(models::Task::kFashion), {});
+  const fl::ClientRegistry registry(dataset, std::move(parts), {});
   check_client_train(registry, "partitioned registry");
 }
 
@@ -240,8 +241,7 @@ TEST(AllocationGate, HashedRegistryClientTrain) {
     const auto dataset =
         data::make_synthetic_dataset(models::Task::kFashion, size, 14);
     const fl::ClientRegistry registry(
-        dataset, data::HashedShardSpec(dataset.size(), 1000, 40, 15),
-        models::task_model_factory(models::Task::kFashion), {});
+        dataset, data::HashedShardSpec(dataset.size(), 1000, 40, 15), {});
     check_client_train(registry, size > 4096 ? "hashed, Floyd" : "hashed");
   }
 }

@@ -377,10 +377,12 @@ TEST(LabelFlip, ProducesPlausibleButDifferentUpdate) {
   auto global_model = factory(3);
   const std::vector<float> global = nn::get_flat_params(*global_model);
 
-  LabelFlipAttack attack(dataset, factory, {.local_epochs = 1}, 5);
+  LabelFlipAttack attack(dataset, {.local_epochs = 1}, 5);
+  data::ReplicaSet replicas(factory);
   AttackContext ctx;
   ctx.global_model = global;
   ctx.prev_global_model = global;
+  ctx.replicas = &replicas;
   const Update crafted = attack.craft(ctx);
   ASSERT_EQ(crafted.size(), global.size());
   EXPECT_GT(util::l2_distance(crafted, global), 1e-4);

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
@@ -56,12 +58,16 @@ AttackCase of_kind(AttackKind kind, bool finite = true) {
 
 class AttackProperty : public ::testing::TestWithParam<AttackCase> {
  protected:
-  /// A round's models and, for the omniscient attacks, plausible benign
-  /// updates near the global model.
+  /// A round's models, for the omniscient attacks plausible benign
+  /// updates near the global model, and the replicas it lends the attacks
+  /// that train a model.
   struct Round {
     std::vector<float> global;
     std::vector<float> prev;
     std::vector<std::vector<float>> benign;
+    std::unique_ptr<data::ReplicaSet> replicas =
+        std::make_unique<data::ReplicaSet>(
+            models::task_model_factory(config().task));
 
     attack::AttackContext context() const {
       attack::AttackContext ctx;
@@ -70,6 +76,7 @@ class AttackProperty : public ::testing::TestWithParam<AttackCase> {
       ctx.benign_updates = &benign;
       ctx.num_selected = 5;
       ctx.num_malicious_selected = 1;
+      ctx.replicas = replicas.get();
       return ctx;
     }
   };
@@ -128,15 +135,17 @@ TEST_P(AttackProperty, RejectsInconsistentContext) {
 }
 
 // The simulator lends its participant replicas to every craft. Two
-// successive crafts on lent replicas, each scrambled in parameters and
-// buffers before each craft as the caller's own training would leave it,
-// must give the bits of the same crafts on the attack's own models.
+// successive crafts on lent replicas, each scrambled in parameters, buffers
+// and index list before each craft as the caller's own training would
+// leave it, must give the bits of the same crafts on freshly built
+// replicas.
 TEST_P(AttackProperty, LentReplicaMatchesOwnModel) {
   const Simulation sim(config());
   const Round round = make_round();
   const auto own = GetParam().make(sim, 7);
   const auto lent = GetParam().make(sim, 7);
   const models::ImageSpec spec = models::task_spec(config().task);
+  const auto rows = static_cast<std::size_t>(sim.malicious_data().size());
   data::ReplicaSet replicas(models::task_model_factory(config().task));
   util::Rng noise(5);
   for (int craft = 0; craft < 2; ++craft) {
@@ -146,15 +155,41 @@ TEST_P(AttackProperty, LentReplicaMatchesOwnModel) {
       nn::set_flat_params(replicas.model(p), scrambled);
       replicas.model(p).forward(tensor::Tensor::normal(
           {3, spec.channels, spec.height, spec.width}, noise));
+      // A shuffled shard, as a client trained on this slot leaves it.
+      std::vector<std::int64_t>& indices = replicas.slot(p).indices;
+      indices.resize(rows);
+      std::iota(indices.begin(), indices.end(), std::int64_t{0});
+      noise.shuffle(indices);
     }
 
     attack::AttackContext ctx = round.context();
+    data::ReplicaSet fresh(models::task_model_factory(config().task));
+    ctx.replicas = &fresh;
     const std::vector<float> a = own->craft(ctx);
     ctx.replicas = &replicas;
     const std::vector<float> b = lent->craft(ctx);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
         << "craft " << craft;
+  }
+}
+
+// Crafting trains a model on the caller's replicas, so the attacks that
+// train one reject a context that lends none.
+TEST(AttackContextReplicas, ModelTrainingAttacksRequireLentReplicas) {
+  const Simulation sim(config());
+  const std::vector<float> global =
+      nn::get_flat_params(*models::task_model_factory(config().task)(9));
+  attack::AttackContext ctx;
+  ctx.global_model = global;
+  ctx.prev_global_model = global;
+  ctx.num_selected = 5;
+  ctx.num_malicious_selected = 1;
+  for (const AttackKind kind : {AttackKind::kZkaR, AttackKind::kZkaG,
+                                AttackKind::kRealData, AttackKind::kLabelFlip}) {
+    const auto attack = make_attack(kind, sim, zka(), 7);
+    EXPECT_THROW(attack->craft(ctx), std::invalid_argument)
+        << attack_kind_name(kind);
   }
 }
 

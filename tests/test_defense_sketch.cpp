@@ -57,7 +57,9 @@ const ZkaRound& zka_round() {
     opts.classifier.epochs = 1;
     opts.classifier.batch_size = 6;
     core::ZkaRAttack attack(models::Task::kFashion, opts, 3);
+    data::ReplicaSet replicas(factory);
     attack::AttackContext ctx;
+    ctx.replicas = &replicas;
     ctx.global_model = r.global;
     ctx.prev_global_model = r.global;
     ctx.round = 1;

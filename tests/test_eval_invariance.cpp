@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -207,12 +208,14 @@ std::vector<float> partly_trained(models::Task task,
                                   const data::Dataset& dataset) {
   const auto factory = models::task_model_factory(task);
   const std::vector<float> init = nn::get_flat_params(*factory(31));
-  data::DataLoader loader(dataset, 16);
   util::Rng rng(32);
   data::TrainScratch scratch;
+  scratch.model = factory(0);
+  scratch.indices.resize(static_cast<std::size_t>(dataset.size()));
+  std::iota(scratch.indices.begin(), scratch.indices.end(), std::int64_t{0});
   std::vector<float> out;
-  data::local_sgd(init, loader, {.local_epochs = 2, .batch_size = 16},
-                  factory, rng, scratch, out);
+  data::local_sgd(init, dataset, {.local_epochs = 2, .batch_size = 16}, rng,
+                  scratch, out);
   return out;
 }
 

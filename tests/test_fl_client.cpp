@@ -1,9 +1,14 @@
-#include "fl/client.h"
+// Client training through fl::ClientRegistry, over a stored partition and
+// over a hashed shard spec.
+#include "fl/registry.h"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "data/synthetic.h"
 #include "nn/loss.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace zka::fl {
@@ -13,37 +18,48 @@ class ClientTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dataset_ = data::make_synthetic_dataset(models::Task::kFashion, 40, 11);
-    factory_ = models::task_model_factory(models::Task::kFashion);
     global_ = nn::get_flat_params(*factory_(99));
   }
 
   std::vector<std::int64_t> all_indices() const {
     std::vector<std::int64_t> idx(static_cast<std::size_t>(dataset_.size()));
-    for (std::int64_t i = 0; i < dataset_.size(); ++i) {
-      idx[static_cast<std::size_t>(i)] = i;
-    }
+    std::iota(idx.begin(), idx.end(), std::int64_t{0});
     return idx;
   }
 
+  /// A registry whose only client owns `indices`.
+  ClientRegistry one_client(std::vector<std::int64_t> indices,
+                            data::LocalSgdOptions options = {}) const {
+    return ClientRegistry(dataset_, {std::move(indices)}, options);
+  }
+
+  /// Client `id` of `registry` trained on the calling participant's replica.
+  std::vector<float> train(const ClientRegistry& registry, std::int64_t id,
+                           std::uint64_t seed) {
+    std::vector<float> out;
+    registry.train(id, global_, seed, replicas_.mine(), out);
+    return out;
+  }
+
   data::Dataset dataset_;
-  models::ModelFactory factory_;
+  models::ModelFactory factory_ =
+      models::task_model_factory(models::Task::kFashion);
+  data::ReplicaSet replicas_{factory_};
   std::vector<float> global_;
 };
 
 TEST_F(ClientTest, TrainIsDeterministicGivenSeed) {
-  const auto indices = all_indices();
-  Client client(0, dataset_, indices, factory_, {});
-  EXPECT_EQ(client.train(global_, 123), client.train(global_, 123));
-  EXPECT_NE(client.train(global_, 123), client.train(global_, 124));
+  const ClientRegistry registry = one_client(all_indices());
+  EXPECT_EQ(train(registry, 0, 123), train(registry, 0, 123));
+  EXPECT_NE(train(registry, 0, 123), train(registry, 0, 124));
 }
 
 TEST_F(ClientTest, TrainImprovesLocalFit) {
   data::LocalSgdOptions opts;
   opts.local_epochs = 3;
   opts.learning_rate = 0.05f;
-  const auto indices = all_indices();
-  Client client(0, dataset_, indices, factory_, opts);
-  const auto update = client.train(global_, 5);
+  const ClientRegistry registry = one_client(all_indices(), opts);
+  const auto update = train(registry, 0, 5);
 
   auto model = factory_(0);
   nn::SoftmaxCrossEntropy ce;
@@ -57,41 +73,65 @@ TEST_F(ClientTest, TrainImprovesLocalFit) {
 }
 
 TEST_F(ClientTest, EmptyShardReturnsGlobalUnchanged) {
-  Client client(1, dataset_, {}, factory_, {});
-  EXPECT_EQ(client.train(global_, 1), global_);
-  EXPECT_EQ(client.num_samples(), 0);
+  const ClientRegistry registry(dataset_, {all_indices(), {}}, {});
+  EXPECT_EQ(train(registry, 1, 1), global_);
+  EXPECT_EQ(registry.num_samples(1), 0);
 }
 
 TEST_F(ClientTest, UpdateStaysNearGlobalForOneEpoch) {
-  const auto indices = all_indices();
-  Client client(2, dataset_, indices, factory_, {});
-  const auto update = client.train(global_, 7);
+  const ClientRegistry registry = one_client(all_indices());
+  const auto update = train(registry, 0, 7);
   EXPECT_GT(util::l2_distance(update, global_), 1e-5);
   EXPECT_LT(util::l2_distance(update, global_), 50.0);
 }
 
-TEST_F(ClientTest, IdAndIndicesAccessors) {
+TEST_F(ClientTest, NumSamplesAndShardAccessors) {
   const std::vector<std::int64_t> indices = {1, 2, 3};
-  Client client(42, dataset_, indices, factory_, {});
-  EXPECT_EQ(client.id(), 42);
-  EXPECT_EQ(client.num_samples(), 3);
+  const ClientRegistry registry(dataset_, {all_indices(), indices}, {});
+  EXPECT_EQ(registry.population(), 2);
+  EXPECT_EQ(registry.num_samples(1), 3);
   std::vector<std::int64_t> shard = {9, 9, 9, 9, 9};
-  client.shard(shard);
+  registry.shard(1, shard);
   EXPECT_EQ(shard, indices);
+  EXPECT_THROW(registry.shard(2, shard), std::invalid_argument);
+  EXPECT_THROW(registry.num_samples(-1), std::invalid_argument);
 }
 
-// A hashed-spec client computes the spec's shard, and trains exactly as a
-// client handed that shard's indices.
+// A hashed registry computes the spec's shards, and trains each client
+// exactly as a registry that stores those shards: 16 random (id, seed)
+// pairs per shard size, each size leaving a partial last batch of 5.
 TEST_F(ClientTest, HashedShardClientMatchesIndexClient) {
-  const data::HashedShardSpec spec(dataset_.size(), 1000, 12, 5);
-  Client hashed(17, dataset_, spec, factory_, {});
-  const auto indices = spec.shard(17);
-  Client listed(17, dataset_, indices, factory_, {});
-  EXPECT_EQ(hashed.num_samples(), 12);
+  const data::LocalSgdOptions options = {.local_epochs = 2, .batch_size = 5};
+  util::Rng rng(17);
   std::vector<std::int64_t> shard;
-  hashed.shard(shard);
-  EXPECT_EQ(shard, indices);
-  EXPECT_EQ(hashed.train(global_, 3), listed.train(global_, 3));
+  for (const std::int64_t size : {12, 7}) {
+    const data::HashedShardSpec spec(dataset_.size(), 1000, size, 5);
+    const ClientRegistry hashed(dataset_, spec, options);
+    std::vector<std::vector<std::int64_t>> parts(1000);
+    for (std::int64_t id = 0; id < 1000; ++id) {
+      parts[static_cast<std::size_t>(id)] = spec.shard(id);
+    }
+    const ClientRegistry listed(dataset_, std::move(parts), options);
+    for (int pair = 0; pair < 16; ++pair) {
+      const auto id = static_cast<std::int64_t>(rng.uniform_index(1000));
+      const std::uint64_t seed = rng();
+      EXPECT_EQ(hashed.num_samples(id), size);
+      hashed.shard(id, shard);
+      EXPECT_EQ(shard, spec.shard(id)) << "client " << id;
+      EXPECT_EQ(train(hashed, id, seed), train(listed, id, seed))
+          << "client " << id << " seed " << seed;
+    }
+  }
+}
+
+// Training needs a built model: the registry trains on the caller's
+// replica and builds none of its own.
+TEST_F(ClientTest, TrainRequiresABuiltModel) {
+  const ClientRegistry registry = one_client(all_indices());
+  data::TrainScratch empty;
+  std::vector<float> out;
+  EXPECT_THROW(registry.train(0, global_, 1, empty, out),
+               std::invalid_argument);
 }
 
 }  // namespace

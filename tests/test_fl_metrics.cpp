@@ -40,14 +40,15 @@ TEST(EvaluateAccuracy, PerfectAndChanceLevel) {
       data::make_synthetic_dataset(models::Task::kFashion, 60, 21);
   const auto factory = models::task_model_factory(models::Task::kFashion);
   const auto params = nn::get_flat_params(*factory(5));
-  const double acc = evaluate_accuracy(factory, params, dataset);
+  const auto model = factory(0);
+  const double acc = evaluate_accuracy(*model, params, dataset);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
 
   data::Dataset empty;
   empty.spec = models::fashion_spec();
   empty.images = tensor::Tensor({0, 1, 28, 28});
-  EXPECT_DOUBLE_EQ(evaluate_accuracy(factory, params, empty), 0.0);
+  EXPECT_DOUBLE_EQ(evaluate_accuracy(*factory(0), params, empty), 0.0);
 }
 
 TEST(EvaluateAccuracy, BatchSizeDoesNotChangeResult) {
@@ -55,8 +56,8 @@ TEST(EvaluateAccuracy, BatchSizeDoesNotChangeResult) {
       data::make_synthetic_dataset(models::Task::kFashion, 50, 22);
   const auto factory = models::task_model_factory(models::Task::kFashion);
   const auto params = nn::get_flat_params(*factory(6));
-  EXPECT_DOUBLE_EQ(evaluate_accuracy(factory, params, dataset, 7),
-                   evaluate_accuracy(factory, params, dataset, 64));
+  EXPECT_DOUBLE_EQ(evaluate_accuracy(*factory(0), params, dataset, 7),
+                   evaluate_accuracy(*factory(0), params, dataset, 64));
 }
 
 }  // namespace

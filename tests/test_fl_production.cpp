@@ -80,8 +80,9 @@ TEST(ProductionSimulation, RunsAndLearnsAtSmallScale) {
   Simulation sim(config);
   EXPECT_EQ(sim.population(), 500);
   EXPECT_TRUE(sim.registry().lazy());
-  EXPECT_THROW(sim.registry().shard(500), std::invalid_argument);
-  EXPECT_THROW(sim.registry().shard(-1), std::invalid_argument);
+  std::vector<std::int64_t> shard;
+  EXPECT_THROW(sim.registry().shard(500, shard), std::invalid_argument);
+  EXPECT_THROW(sim.registry().shard(-1, shard), std::invalid_argument);
   const auto result = sim.run(nullptr);
   ASSERT_EQ(result.rounds.size(), 6u);
   EXPECT_GT(result.max_accuracy, 0.3);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "fl/client.h"
+#include "fl/registry.h"
 #include "fl/metrics.h"
 #include "models/models.h"
 #include "nn/activations.h"
@@ -277,30 +277,38 @@ TEST(NnReuse, TaskCnnsAndGenerator) {
       rows(16), 15);
 }
 
-// Client::train on one kept TrainScratch, over shards whose sizes leave a
-// partial last batch (and one smaller than a batch), equals a fresh
-// training run of the same client.
+// registry.train on one kept replica, over shards whose sizes leave a
+// partial last batch (and one smaller than a batch), equals a training run
+// of the same client on a freshly built model.
 TEST(NnReuse, ClientScratchMatchesFreshTraining) {
   const auto dataset =
       data::make_synthetic_dataset(models::Task::kFashion, 120, 21);
   const auto factory = models::task_model_factory(models::Task::kFashion);
   const std::vector<float> global = get_flat_params(*factory(3));
-  data::TrainScratch scratch;
-  std::vector<float> update;
+  const std::vector<std::int64_t> shards = {45, 32, 7, 64, 45};
+  std::vector<std::vector<std::int64_t>> parts;
   std::int64_t first = 0;
-  for (const std::int64_t shard : {45, 32, 7, 64, 45}) {
-    std::vector<std::int64_t> indices;
+  for (const std::int64_t shard : shards) {
+    parts.emplace_back();
     for (std::int64_t i = 0; i < shard; ++i) {
-      indices.push_back((first + i) % dataset.size());
+      parts.back().push_back((first + i) % dataset.size());
     }
     first += shard;
-    const fl::Client client(shard, dataset, indices, factory,
-                            {.local_epochs = 2, .batch_size = 32});
-    client.train(global, 100 + static_cast<std::uint64_t>(shard), scratch,
-                 update);
-    EXPECT_EQ(update,
-              client.train(global, 100 + static_cast<std::uint64_t>(shard)))
-        << "shard of " << shard;
+  }
+  const fl::ClientRegistry clients(dataset, std::move(parts),
+                                   {.local_epochs = 2, .batch_size = 32});
+  data::TrainScratch scratch;
+  scratch.model = factory(0);
+  std::vector<float> update;
+  for (std::size_t c = 0; c < shards.size(); ++c) {
+    const auto id = static_cast<std::int64_t>(c);
+    const std::uint64_t seed = 100 + static_cast<std::uint64_t>(shards[c]);
+    clients.train(id, global, seed, scratch, update);
+    data::TrainScratch fresh;
+    fresh.model = factory(seed);
+    std::vector<float> expected;
+    clients.train(id, global, seed, fresh, expected);
+    EXPECT_EQ(update, expected) << "shard of " << shards[c];
   }
 }
 
@@ -314,7 +322,7 @@ TEST(NnReuse, EvaluationOnKeptModelMatchesFresh) {
     const auto dataset = data::make_synthetic_dataset(
         models::Task::kCifar, size, static_cast<std::uint64_t>(size));
     EXPECT_EQ(fl::evaluate_accuracy(*kept, params, dataset),
-              fl::evaluate_accuracy(factory, params, dataset))
+              fl::evaluate_accuracy(*factory(0), params, dataset))
         << size << " samples";
   }
 }

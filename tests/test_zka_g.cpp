@@ -11,9 +11,21 @@
 namespace zka::core {
 namespace {
 
-attack::AttackContext context_for(const std::vector<float>& global,
-                                  const std::vector<float>& prev) {
+/// The classifier replicas every craft here borrows, one set per task, as
+/// a simulation lends its own.
+data::ReplicaSet& replicas_for(models::Task task) {
+  static data::ReplicaSet fashion(
+      models::task_model_factory(models::Task::kFashion));
+  static data::ReplicaSet cifar(
+      models::task_model_factory(models::Task::kCifar));
+  return task == models::Task::kCifar ? cifar : fashion;
+}
+
+attack::AttackContext context_for(
+    const std::vector<float>& global, const std::vector<float>& prev,
+    models::Task task = models::Task::kFashion) {
   attack::AttackContext ctx;
+  ctx.replicas = &replicas_for(task);
   ctx.global_model = global;
   ctx.prev_global_model = prev;
   ctx.round = 1;
@@ -126,7 +138,7 @@ TEST(ZkaG, ImagesInTanhRangeAndTaskShape) {
   opts.synthetic_size = 4;
   opts.synthesis_epochs = 2;
   ZkaGAttack attack(models::Task::kCifar, opts, 7);
-  attack.craft(context_for(global, global));
+  attack.craft(context_for(global, global, models::Task::kCifar));
   const tensor::Tensor& images = attack.last_synthetic_images();
   EXPECT_EQ(images.shape(), (tensor::Shape{4, 3, 32, 32}));
   for (std::int64_t i = 0; i < images.numel(); ++i) {

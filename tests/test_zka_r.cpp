@@ -16,9 +16,21 @@
 namespace zka::core {
 namespace {
 
-attack::AttackContext context_for(const std::vector<float>& global,
-                                  const std::vector<float>& prev) {
+/// The classifier replicas every craft here borrows, one set per task, as
+/// a simulation lends its own.
+data::ReplicaSet& replicas_for(models::Task task) {
+  static data::ReplicaSet fashion(
+      models::task_model_factory(models::Task::kFashion));
+  static data::ReplicaSet cifar(
+      models::task_model_factory(models::Task::kCifar));
+  return task == models::Task::kCifar ? cifar : fashion;
+}
+
+attack::AttackContext context_for(
+    const std::vector<float>& global, const std::vector<float>& prev,
+    models::Task task = models::Task::kFashion) {
   attack::AttackContext ctx;
+  ctx.replicas = &replicas_for(task);
   ctx.global_model = global;
   ctx.prev_global_model = prev;
   ctx.round = 1;
@@ -123,7 +135,7 @@ TEST(ZkaR, SyntheticImageShapesMatchTask) {
   opts.synthetic_size = 3;
   opts.synthesis_epochs = 2;
   ZkaRAttack attack(models::Task::kCifar, opts, 7);
-  attack.craft(context_for(global, global));
+  attack.craft(context_for(global, global, models::Task::kCifar));
   EXPECT_EQ(attack.last_synthetic_images().shape(),
             (tensor::Shape{3, 3, 32, 32}));
 }
@@ -212,8 +224,8 @@ bool same_bits(std::span<const T> a, std::span<const T> b) {
 }
 
 // The pool-parallel synthesis on frozen replicas equals the serial
-// reference bit for bit, over three crafts of one attack (its kept replicas
-// and buffers reused) and a sample count no pool size divides evenly.
+// reference bit for bit, over three crafts of one attack (the lent replicas
+// and its buffers reused) and a sample count no pool size divides evenly.
 void check_against_serial(models::Task task, bool train_synthesis) {
   const auto factory = models::task_model_factory(task);
   ZkaOptions opts = small_options();
@@ -226,7 +238,7 @@ void check_against_serial(models::Task task, bool train_synthesis) {
   std::vector<float> prev = nn::get_flat_params(*factory(22));
   for (std::uint64_t round = 0; round < 3; ++round) {
     const std::vector<float> global = nn::get_flat_params(*factory(23 + round));
-    const auto update = attack.craft(context_for(global, prev));
+    const auto update = attack.craft(context_for(global, prev, task));
     const auto expected = reference.craft(global, prev);
     const std::string where = std::string(models::task_name(task)) +
                               (train_synthesis ? " trained" : " static") +
