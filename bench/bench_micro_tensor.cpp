@@ -262,18 +262,6 @@ BENCHMARK(BM_Eval)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_TensorElementwiseAdd(benchmark::State& state) {
-  util::Rng rng(5);
-  Tensor a = Tensor::uniform({1 << 16}, rng, -1.0f, 1.0f);
-  const Tensor b = Tensor::uniform({1 << 16}, rng, -1.0f, 1.0f);
-  for (auto _ : state) {
-    a += b;
-    benchmark::DoNotOptimize(a.raw());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 16) * sizeof(float));
-}
-BENCHMARK(BM_TensorElementwiseAdd);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -21,7 +21,7 @@ const std::vector<double>& AdversarialTrainer::train(
             static_cast<long long>(options_.batch_size),
             static_cast<long long>(options_.epochs));
   const std::int64_t n = images.dim(0);
-  nn::Sgd optimizer(model, {.learning_rate = options_.learning_rate});
+  nn::Sgd optimizer(model, options_.learning_rate);
 
   order_.resize(static_cast<std::size_t>(n));
   std::iota(order_.begin(), order_.end(), std::int64_t{0});

@@ -38,7 +38,7 @@ const tensor::Tensor& ZkaGAttack::synthesize(data::ReplicaSet& replicas,
   if (options_.train_synthesis) {
     // Maximize CE(classifier(G(Z)), Ỹ): scale = -1 under gradient descent.
     nn::SoftmaxCrossEntropy loss(-1.0f);
-    nn::Sgd optimizer(*generator_, {.learning_rate = options_.synthesis_lr});
+    nn::Sgd optimizer(*generator_, options_.synthesis_lr);
     for (std::int64_t epoch = 0; epoch < options_.synthesis_epochs; ++epoch) {
       ZKA_PROF_SCOPE("zka_g/generator_epoch");
       optimizer.zero_grad();

@@ -64,7 +64,7 @@ const tensor::Tensor& ZkaRAttack::synthesize(data::ReplicaSet& replicas,
     const nn::FreezeScope frozen(classifier);
     auto filter = models::make_filter_layer(spec_, options_.filter_kernel,
                                             filter_rngs_[i]);
-    nn::Sgd optimizer(*filter, {.learning_rate = options_.synthesis_lr});
+    nn::Sgd optimizer(*filter, options_.synthesis_lr);
     nn::SoftmaxCrossEntropy loss;
     const tensor::Tensor& a = sources_[i];
     double* losses =

@@ -1,7 +1,5 @@
 #include "data/dataset.h"
 
-#include "util/check.h"
-
 namespace zka::data {
 
 Dataset Dataset::subset(std::span<const std::int64_t> indices) const {
@@ -18,22 +16,6 @@ Dataset Dataset::subset(std::span<const std::int64_t> indices) const {
 tensor::Tensor Dataset::image(std::int64_t i) const {
   const std::int64_t idx[] = {i};
   return images.index_select0(idx);
-}
-
-std::pair<Dataset, Dataset> train_test_split(const Dataset& dataset,
-                                             std::int64_t train_size) {
-  ZKA_CHECK(train_size >= 0 && train_size <= dataset.size(),
-            "train_test_split: train_size %lld outside [0, %lld]",
-            static_cast<long long>(train_size),
-            static_cast<long long>(dataset.size()));
-  std::vector<std::int64_t> train_idx(static_cast<std::size_t>(train_size));
-  std::vector<std::int64_t> test_idx(
-      static_cast<std::size_t>(dataset.size() - train_size));
-  for (std::int64_t i = 0; i < train_size; ++i) train_idx[i] = i;
-  for (std::int64_t i = train_size; i < dataset.size(); ++i) {
-    test_idx[static_cast<std::size_t>(i - train_size)] = i;
-  }
-  return {dataset.subset(train_idx), dataset.subset(test_idx)};
 }
 
 std::vector<std::int64_t> class_histogram(const Dataset& dataset) {

@@ -26,11 +26,6 @@ struct Dataset {
   tensor::Tensor image(std::int64_t i) const;
 };
 
-/// Splits into (train, test) by taking the first `train_size` samples for
-/// training and the rest for testing. Throws if train_size > size.
-std::pair<Dataset, Dataset> train_test_split(const Dataset& dataset,
-                                             std::int64_t train_size);
-
 /// Count of samples per class.
 std::vector<std::int64_t> class_histogram(const Dataset& dataset);
 

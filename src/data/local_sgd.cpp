@@ -1,5 +1,7 @@
 #include "data/local_sgd.h"
 
+#include <algorithm>
+
 #include "nn/sgd.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -31,21 +33,24 @@ void local_sgd(std::span<const float> global, const Dataset& dataset,
                const LocalSgdOptions& options, util::Rng& rng,
                TrainScratch& scratch, std::vector<float>& out) {
   ZKA_CHECK(scratch.model != nullptr, "local_sgd: the scratch has no model");
+  ZKA_CHECK(options.batch_size > 0, "local_sgd: batch_size %lld",
+            static_cast<long long>(options.batch_size));
   static_cast<void>(rng());
   nn::Sequential& model = *scratch.model;
   nn::set_flat_params(model, global);
-  nn::Sgd optimizer(model, {.learning_rate = options.learning_rate});
-  // The loader shuffles the kept index list in place and hands it back.
-  DataLoader loader(dataset, std::move(scratch.indices), options.batch_size);
+  nn::Sgd optimizer(model, options.learning_rate);
+  const std::span<const std::int64_t> rows(scratch.indices);
+  const auto batch = static_cast<std::size_t>(options.batch_size);
   for (std::int64_t epoch = 0; epoch < options.local_epochs; ++epoch) {
-    loader.shuffle(rng);
-    for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-      loader.batch(b, scratch.batch);
+    rng.shuffle(scratch.indices);
+    for (std::size_t begin = 0; begin < rows.size(); begin += batch) {
+      gather_batch(dataset,
+                   rows.subspan(begin, std::min(batch, rows.size() - begin)),
+                   scratch.batch);
       nn::sgd_step(model, optimizer, scratch.loss, scratch.batch.images,
                    scratch.batch.labels);
     }
   }
-  scratch.indices = std::move(loader).release_indices();
   nn::get_flat_params(model, out);
 }
 

@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "data/loader.h"
+#include "data/batch.h"
 #include "models/models.h"
 #include "nn/loss.h"
 
@@ -65,7 +65,8 @@ class ReplicaSet {
 /// Loads `global` into scratch.model, which must be built, runs
 /// options.local_epochs epochs of options.batch_size-row mini-batches of
 /// the `dataset` rows listed in scratch.indices, reshuffled from `rng`
-/// before each, and writes the trained parameters into `out`. Every
+/// before each and cut into batches of consecutive entries (the last may
+/// be partial), and writes the trained parameters into `out`. Every
 /// parameter is loaded from `global`, so the model's previous contents
 /// never matter. The shuffles permute scratch.indices in place. They come
 /// after one draw of `rng` that nothing reads: the shuffle stream, and with

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <limits>
 
-#include "data/loader.h"
+#include "data/batch.h"
 #include "nn/loss.h"
 #include "util/check.h"
 #include "util/thread_pool.h"

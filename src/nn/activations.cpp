@@ -43,24 +43,6 @@ const Tensor& ReLU::backward(const Tensor& grad_output) {
   });
 }
 
-LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
-  ZKA_CHECK(slope > 0.0f, "LeakyReLU: slope %g must be positive",
-            static_cast<double>(slope));
-}
-
-const Tensor& LeakyReLU::forward(const Tensor& input) {
-  return map_forward(input, buf_, [s = slope_](float x) {
-    return x > 0.0f ? x : s * x;
-  });
-}
-
-const Tensor& LeakyReLU::backward(const Tensor& grad_output) {
-  return map_backward(buf_, grad_output, "LeakyReLU",
-                      [s = slope_](float y, float dy) {
-                        return y <= 0.0f ? dy * s : dy;
-                      });
-}
-
 const Tensor& Tanh::forward(const Tensor& input) {
   return map_forward(input, buf_, [](float x) { return std::tanh(x); });
 }
@@ -68,17 +50,6 @@ const Tensor& Tanh::forward(const Tensor& input) {
 const Tensor& Tanh::backward(const Tensor& grad_output) {
   return map_backward(buf_, grad_output, "Tanh", [](float y, float dy) {
     return dy * (1.0f - y * y);
-  });
-}
-
-const Tensor& Sigmoid::forward(const Tensor& input) {
-  return map_forward(input, buf_,
-                     [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-
-const Tensor& Sigmoid::backward(const Tensor& grad_output) {
-  return map_backward(buf_, grad_output, "Sigmoid", [](float y, float dy) {
-    return dy * (y * (1.0f - y));
   });
 }
 

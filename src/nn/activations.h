@@ -20,35 +20,11 @@ class ReLU : public Module {
   Tensor buf_;  // output after forward, input gradient after backward
 };
 
-class LeakyReLU : public Module {
- public:
-  /// `slope` must be positive, so the output's sign is the input's and
-  /// backward can mask by the output.
-  explicit LeakyReLU(float slope = 0.2f);
-  const Tensor& forward(const Tensor& input) override;
-  const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
-  Tensor buf_;
-};
-
 class Tanh : public Module {
  public:
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor buf_;
-};
-
-class Sigmoid : public Module {
- public:
-  const Tensor& forward(const Tensor& input) override;
-  const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
 
  private:
   Tensor buf_;

@@ -78,10 +78,13 @@ double SoftmaxCrossEntropy::evaluate(const Tensor& logits) {
 const Tensor& SoftmaxCrossEntropy::backward() {
   ZKA_CHECK(probs_.numel() > 0,
             "SoftmaxCrossEntropy::backward before forward");
-  const std::int64_t n = probs_.dim(0);
-  grad_ = probs_;
-  grad_ -= targets_;
-  grad_ *= scale_ / static_cast<float>(std::max<std::int64_t>(n, 1));
+  const float k =
+      scale_ / static_cast<float>(std::max<std::int64_t>(probs_.dim(0), 1));
+  grad_.resize(probs_.shape());
+  const float* p = probs_.raw();
+  const float* t = targets_.raw();
+  float* g = grad_.raw();
+  for (std::int64_t i = 0; i < probs_.numel(); ++i) g[i] = (p[i] - t[i]) * k;
   return grad_;
 }
 

@@ -35,12 +35,6 @@ class SoftmaxCrossEntropy {
   /// loss owns, valid until its next forward() or backward().
   const Tensor& backward();
 
-  /// Softmax probabilities from the last forward call.
-  const Tensor& probabilities() const noexcept { return probs_; }
-
-  float scale() const noexcept { return scale_; }
-  void set_scale(float scale) noexcept { scale_ = scale; }
-
  private:
   /// The loss of the current targets_ against `logits`; fills probs_.
   double evaluate(const Tensor& logits);

@@ -4,24 +4,8 @@
 
 namespace zka::nn {
 
-Sgd::Sgd(std::vector<Parameter*> params, SgdOptions options)
-    : owned_(std::move(params)), params_(owned_), options_(options) {
-  init_velocity();
-}
-
-Sgd::Sgd(Module& module, SgdOptions options)
-    : params_(module.parameters()), options_(options) {
-  init_velocity();
-}
-
-void Sgd::init_velocity() {
-  if (options_.momentum != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Parameter* p : params_) {
-      velocity_.emplace_back(p->value.shape());
-    }
-  }
-}
+Sgd::Sgd(Module& module, float learning_rate)
+    : params_(module.parameters()), learning_rate_(learning_rate) {}
 
 void Sgd::step() {
   for (std::size_t k = 0; k < params_.size(); ++k) {
@@ -32,16 +16,7 @@ void Sgd::step() {
                "Sgd: param %zu has %zu values but %zu grads", k, value.size(),
                grad.size());
     for (std::size_t i = 0; i < value.size(); ++i) {
-      float g = grad[i];
-      if (options_.weight_decay != 0.0f) {
-        g += options_.weight_decay * value[i];
-      }
-      if (options_.momentum != 0.0f) {
-        auto v = velocity_[k].data();
-        v[i] = options_.momentum * v[i] + g;
-        g = v[i];
-      }
-      value[i] -= options_.learning_rate * g;
+      value[i] -= learning_rate_ * grad[i];
     }
   }
 }

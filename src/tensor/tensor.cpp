@@ -139,57 +139,6 @@ void Tensor::fill(float value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-namespace {
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  ZKA_CHECK(a.same_shape(b), "%s: shape mismatch %s vs %s", op,
-            shape_to_string(a.shape()).c_str(),
-            shape_to_string(b.shape()).c_str());
-}
-}  // namespace
-
-Tensor& Tensor::operator+=(const Tensor& other) {
-  check_same_shape(*this, other, "+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& other) {
-  check_same_shape(*this, other, "-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator*=(const Tensor& other) {
-  check_same_shape(*this, other, "*=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator+=(float scalar) noexcept {
-  for (float& x : data_) x += scalar;
-  return *this;
-}
-
-Tensor& Tensor::operator*=(float scalar) noexcept {
-  for (float& x : data_) x *= scalar;
-  return *this;
-}
-
-float Tensor::sum() const noexcept {
-  double total = 0.0;
-  for (const float x : data_) total += static_cast<double>(x);
-  return static_cast<float>(total);
-}
-
-float Tensor::mean() const noexcept {
-  return data_.empty() ? 0.0f : sum() / static_cast<float>(data_.size());
-}
-
-float Tensor::min() const {
-  if (data_.empty()) throw std::logic_error("min of empty tensor");
-  return *std::min_element(data_.begin(), data_.end());
-}
-
 float Tensor::max() const {
   if (data_.empty()) throw std::logic_error("max of empty tensor");
   return *std::max_element(data_.begin(), data_.end());
@@ -199,39 +148,6 @@ std::int64_t Tensor::argmax() const {
   if (data_.empty()) throw std::logic_error("argmax of empty tensor");
   return static_cast<std::int64_t>(
       std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-double Tensor::l2_norm() const noexcept {
-  double sum = 0.0;
-  for (const float x : data_) {
-    sum += static_cast<double>(x) * static_cast<double>(x);
-  }
-  return std::sqrt(sum);
-}
-
-Tensor operator+(Tensor lhs, const Tensor& rhs) {
-  lhs += rhs;
-  return lhs;
-}
-
-Tensor operator-(Tensor lhs, const Tensor& rhs) {
-  lhs -= rhs;
-  return lhs;
-}
-
-Tensor operator*(Tensor lhs, const Tensor& rhs) {
-  lhs *= rhs;
-  return lhs;
-}
-
-Tensor operator*(Tensor lhs, float scalar) {
-  lhs *= scalar;
-  return lhs;
-}
-
-Tensor operator*(float scalar, Tensor rhs) {
-  rhs *= scalar;
-  return rhs;
 }
 
 bool allclose(const Tensor& a, const Tensor& b, float tol) noexcept {

@@ -39,10 +39,6 @@ class Tensor {
   /// Tensor adopting `data`; data.size() must equal shape_numel(shape).
   Tensor(Shape shape, std::vector<float> data);
 
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
-  static Tensor full(Shape shape, float value) {
-    return Tensor(std::move(shape), value);
-  }
   /// Uniform random entries in [lo, hi).
   static Tensor uniform(Shape shape, util::Rng& rng, float lo = 0.0f,
                         float hi = 1.0f);
@@ -101,23 +97,10 @@ class Tensor {
 
   void fill(float value) noexcept;
 
-  // Elementwise in-place arithmetic; shapes must match exactly.
-  Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
-  Tensor& operator*=(const Tensor& other);
-  Tensor& operator+=(float scalar) noexcept;
-  Tensor& operator*=(float scalar) noexcept;
-
-  // Reductions.
-  float sum() const noexcept;
-  float mean() const noexcept;
-  float min() const;
+  /// Largest element. Requires numel > 0.
   float max() const;
   /// Index of the maximum element (first on ties). Requires numel > 0.
   std::int64_t argmax() const;
-
-  /// L2 norm over all elements.
-  double l2_norm() const noexcept;
 
   bool same_shape(const Tensor& other) const noexcept {
     return shape_ == other.shape_;
@@ -129,13 +112,6 @@ class Tensor {
   Shape shape_;
   std::vector<float> data_;
 };
-
-// Out-of-place elementwise arithmetic.
-Tensor operator+(Tensor lhs, const Tensor& rhs);
-Tensor operator-(Tensor lhs, const Tensor& rhs);
-Tensor operator*(Tensor lhs, const Tensor& rhs);
-Tensor operator*(Tensor lhs, float scalar);
-Tensor operator*(float scalar, Tensor rhs);
 
 /// True iff shapes match and all entries are within `tol`.
 bool allclose(const Tensor& a, const Tensor& b, float tol = 1e-5f) noexcept;

@@ -11,12 +11,13 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/adversarial_trainer.h"
 #include "core/zka_r.h"
-#include "data/loader.h"
+#include "data/batch.h"
 #include "data/local_sgd.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -74,20 +75,23 @@ TEST(AllocationGate, CounterSeesAllocations) {
             1);
 }
 
-// Batch fetch, forward, loss, backward and Sgd::step, as local SGD runs
+// Batch gather, forward, loss, backward and Sgd::step, as local SGD runs
 // them.
 void check_training_step(models::Task task) {
   const auto dataset = data::make_synthetic_dataset(task, 96, 4);
   util::Rng rng(5);
   auto model = models::task_model_factory(task)(6);
-  nn::Sgd optimizer(*model, {.learning_rate = 0.05f});
+  nn::Sgd optimizer(*model, 0.05f);
   nn::SoftmaxCrossEntropy loss;
-  data::DataLoader loader(dataset, 32);
-  loader.shuffle(rng);
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(dataset.size()));
+  std::iota(rows.begin(), rows.end(), std::int64_t{0});
+  rng.shuffle(rows);
   data::Batch batch;
-  std::int64_t b = 0;
+  std::size_t b = 0;
   EXPECT_EQ(steady_state_allocations([&] {
-              loader.batch(b++ % loader.num_batches(), batch);
+              const std::span<const std::int64_t> shuffled(rows);
+              data::gather_batch(dataset, shuffled.subspan(b++ % 3 * 32, 32),
+                                 batch);
               nn::sgd_step(*model, optimizer, loss, batch.images,
                            batch.labels);
             }),
@@ -128,12 +132,12 @@ TEST(AllocationGate, EvalBatch) {
       data::make_synthetic_dataset(models::Task::kCifar, 128, 7);
   const auto factory = models::task_model_factory(models::Task::kCifar);
   auto model = factory(8);
-  const data::DataLoader loader(dataset, 64);
   data::Batch batch;
   std::int64_t b = 0;
   std::int64_t hits = 0;
   EXPECT_EQ(steady_state_allocations([&] {
-              loader.batch(b++ % loader.num_batches(), batch);
+              const std::int64_t begin = b++ % 2 * 64;
+              data::fill_batch(dataset, begin, begin + 64, batch);
               hits += nn::correct_predictions(model->forward(batch.images),
                                               batch.labels);
             }),
@@ -188,7 +192,7 @@ TEST(AllocationGate, ZkaRSynthesisEpoch) {
     auto classifier = models::task_model_factory(models::Task::kCifar)(10);
     if (frozen) classifier->freeze();
     auto filter = models::make_filter_layer(spec, 3, rng);
-    nn::Sgd optimizer(*filter, {.learning_rate = 0.1f});
+    nn::Sgd optimizer(*filter, 0.1f);
     nn::SoftmaxCrossEntropy loss;
     const tensor::Tensor a = tensor::Tensor::uniform(
         {1, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);

@@ -92,7 +92,7 @@ TEST(MeanFeatureVariance, ScalesQuadratically) {
   util::Rng rng(5);
   Tensor rows = Tensor::normal({100, 8}, rng);
   const double v1 = mean_feature_variance(rows);
-  rows *= 3.0f;
+  for (float& x : rows.data()) x *= 3.0f;
   EXPECT_NEAR(mean_feature_variance(rows), 9.0 * v1, 0.01 * 9.0 * v1);
 }
 

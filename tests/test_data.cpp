@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
-#include "data/loader.h"
-#include "util/rng.h"
+#include "data/batch.h"
 #include "util/stats.h"
 
 namespace zka::data {
@@ -119,15 +120,6 @@ TEST(Dataset, SubsetCopiesRows) {
   EXPECT_TRUE(tensor::allclose(s.image(2), d.image(9)));
 }
 
-TEST(Dataset, TrainTestSplit) {
-  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 2);
-  const auto [train, test] = train_test_split(d, 7);
-  EXPECT_EQ(train.size(), 7);
-  EXPECT_EQ(test.size(), 3);
-  EXPECT_EQ(test.labels[0], d.labels[7]);
-  EXPECT_THROW(train_test_split(d, 11), std::invalid_argument);
-}
-
 TEST(Dataset, ClassHistogramCounts) {
   Dataset d;
   d.spec = models::fashion_spec();
@@ -138,56 +130,48 @@ TEST(Dataset, ClassHistogramCounts) {
   EXPECT_EQ(hist, (std::vector<std::int64_t>{1, 2, 3}));
 }
 
-TEST(Loader, BatchesCoverEverySampleOnce) {
-  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 25, 3);
-  DataLoader loader(d, 8);
-  EXPECT_EQ(loader.num_batches(), 4);
-  std::multiset<std::int64_t> seen;
-  Batch batch;
-  for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-    loader.batch(b, batch);
-    EXPECT_EQ(batch.images.dim(0),
-              static_cast<std::int64_t>(batch.labels.size()));
-    for (const auto y : batch.labels) seen.insert(y);
-  }
-  EXPECT_EQ(seen.size(), 25u);
-}
-
-TEST(Loader, LastBatchIsSmaller) {
-  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 4);
-  DataLoader loader(d, 4);
-  Batch batch;
-  loader.batch(2, batch);
-  EXPECT_EQ(batch.labels.size(), 2u);
-  EXPECT_THROW(loader.batch(3, batch), std::out_of_range);
-}
-
-TEST(Loader, SubsetViewAndValidation) {
+TEST(GatherBatch, RowsAndLabelsInListedOrder) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 5);
-  DataLoader loader(d, {1, 3, 5}, 2);
-  EXPECT_EQ(loader.size(), 3);
+  const std::vector<std::int64_t> rows = {5, 1, 3, 1};
   Batch batch;
-  loader.batch(0, batch);
-  EXPECT_EQ(batch.labels[0], d.labels[1]);
-  EXPECT_THROW(DataLoader(d, {42}, 2), std::out_of_range);
-  EXPECT_THROW(DataLoader(d, 0), std::invalid_argument);
+  gather_batch(d, rows, batch);
+  EXPECT_EQ(batch.images.shape(), (tensor::Shape{4, d.spec.channels,
+                                                 d.spec.height, d.spec.width}));
+  ASSERT_EQ(batch.labels.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(batch.labels[i], d.labels[static_cast<std::size_t>(rows[i])]);
+    const std::int64_t one[] = {static_cast<std::int64_t>(i)};
+    EXPECT_TRUE(tensor::allclose(batch.images.index_select0(one),
+                                 d.image(rows[i]), 0.0f));
+  }
 }
 
-TEST(Loader, FilledBatchHoldsTheSameRowsAndLabels) {
+TEST(GatherBatch, RowOutsideTheDatasetThrows) {
+  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 10, 5);
+  Batch batch;
+  const std::vector<std::int64_t> past_end = {1, 10};
+  EXPECT_THROW(gather_batch(d, past_end, batch), std::out_of_range);
+  const std::vector<std::int64_t> negative = {-1};
+  EXPECT_THROW(gather_batch(d, negative, batch), std::out_of_range);
+}
+
+TEST(GatherBatch, KeptBatchRefillsThroughAPartialLastBatch) {
   const Dataset d = make_synthetic_dataset(models::Task::kFashion, 23, 8);
   const std::vector<std::int64_t> rows = {4, 9, 1, 22, 0, 13, 7, 5, 16};
-  DataLoader loader(d, rows, 4);
+  const std::span<const std::int64_t> list(rows);
   const std::int64_t pixels = d.spec.pixels();
   Batch kept;  // refilled in place: 4 rows, 4, then the partial batch of 1
-  for (std::int64_t b = 0; b < loader.num_batches(); ++b) {
-    loader.batch(b, kept);
+  for (std::size_t begin = 0; begin < rows.size(); begin += 4) {
+    const auto batch_rows =
+        list.subspan(begin, std::min<std::size_t>(4, rows.size() - begin));
+    gather_batch(d, batch_rows, kept);
     Batch fresh;
-    loader.batch(b, fresh);
+    gather_batch(d, batch_rows, fresh);
     EXPECT_EQ(kept.labels, fresh.labels);
     EXPECT_EQ(kept.images.shape(), fresh.images.shape());
     ASSERT_EQ(kept.images.dim(0), static_cast<std::int64_t>(kept.labels.size()));
     for (std::int64_t i = 0; i < kept.images.dim(0); ++i) {
-      const std::int64_t row = rows[static_cast<std::size_t>(b * 4 + i)];
+      const std::int64_t row = batch_rows[static_cast<std::size_t>(i)];
       EXPECT_EQ(kept.labels[static_cast<std::size_t>(i)],
                 d.labels[static_cast<std::size_t>(row)]);
       for (std::int64_t p = 0; p < pixels; ++p) {
@@ -196,20 +180,6 @@ TEST(Loader, FilledBatchHoldsTheSameRowsAndLabels) {
     }
   }
   EXPECT_EQ(kept.labels.size(), 1u);
-}
-
-TEST(Loader, ShufflePermutesButPreservesMultiset) {
-  const Dataset d = make_synthetic_dataset(models::Task::kFashion, 32, 6);
-  DataLoader loader(d, 32);
-  util::Rng rng(9);
-  Batch batch;
-  loader.batch(0, batch);
-  const auto before = batch.labels;
-  loader.shuffle(rng);
-  loader.batch(0, batch);
-  const auto after = batch.labels;
-  EXPECT_EQ(std::multiset<std::int64_t>(before.begin(), before.end()),
-            std::multiset<std::int64_t>(after.begin(), after.end()));
 }
 
 }  // namespace

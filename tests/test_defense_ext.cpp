@@ -129,7 +129,7 @@ class FlTrustTest : public ::testing::Test {
     nn::set_flat_params(*model, global_);
     // One crude gradient step toward the data.
     nn::SoftmaxCrossEntropy loss;
-    nn::Sgd opt(*model, {.learning_rate = 0.05f});
+    nn::Sgd opt(*model, 0.05f);
     opt.zero_grad();
     loss.forward(model->forward(shard.images), shard.labels);
     model->backward(loss.backward());

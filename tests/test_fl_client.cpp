@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "data/synthetic.h"
 #include "nn/loss.h"
+#include "nn/sgd.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -122,6 +124,54 @@ TEST_F(ClientTest, HashedShardClientMatchesIndexClient) {
           << "client " << id << " seed " << seed;
     }
   }
+}
+
+// local_sgd against a test-side loop: one discarded draw, then per epoch a
+// shuffle of the row list and batches of its consecutive entries, each an
+// sgd_step. Every shard size ends both epochs on a partial batch of 5.
+TEST_F(ClientTest, LocalSgdMatchesReferenceLoop) {
+  const data::LocalSgdOptions options = {.local_epochs = 2, .batch_size = 5};
+  for (const std::int64_t size : {7, 12, 33}) {
+    std::vector<std::int64_t> rows;
+    for (std::int64_t i = 0; i < size; ++i) rows.push_back(i * 7 % 40);
+    data::TrainScratch& scratch = replicas_.mine();
+    scratch.indices = rows;
+    util::Rng rng(static_cast<std::uint64_t>(size));
+    std::vector<float> trained;
+    data::local_sgd(global_, dataset_, options, rng, scratch, trained);
+
+    auto model = factory_(0);
+    nn::set_flat_params(*model, global_);
+    nn::Sgd optimizer(*model, options.learning_rate);
+    nn::SoftmaxCrossEntropy loss;
+    util::Rng ref_rng(static_cast<std::uint64_t>(size));
+    static_cast<void>(ref_rng());
+    for (std::int64_t epoch = 0; epoch < options.local_epochs; ++epoch) {
+      ref_rng.shuffle(rows);
+      for (std::int64_t begin = 0; begin < size; begin += 5) {
+        const std::vector<std::int64_t> batch(
+            rows.begin() + begin, rows.begin() + std::min(begin + 5, size));
+        std::vector<std::int64_t> labels;
+        for (const std::int64_t r : batch) {
+          labels.push_back(dataset_.labels[static_cast<std::size_t>(r)]);
+        }
+        nn::sgd_step(*model, optimizer, loss,
+                     dataset_.images.index_select0(batch), labels);
+      }
+    }
+    EXPECT_EQ(trained, nn::get_flat_params(*model)) << "shard size " << size;
+    EXPECT_EQ(scratch.indices, rows) << "shard size " << size;
+  }
+}
+
+TEST_F(ClientTest, LocalSgdRejectsAnEmptyBatchSize) {
+  data::TrainScratch& scratch = replicas_.mine();
+  scratch.indices = all_indices();
+  util::Rng rng(1);
+  std::vector<float> out;
+  EXPECT_THROW(
+      data::local_sgd(global_, dataset_, {.batch_size = 0}, rng, scratch, out),
+      std::invalid_argument);
 }
 
 // Training needs a built model: the registry trains on the caller's

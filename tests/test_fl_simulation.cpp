@@ -269,21 +269,63 @@ TEST(Simulation, NullCustomDefenseRejected) {
 }
 
 TEST(Simulation, FlTrustRunsAsCustomDefense) {
+  // The attack keeps the update it crafted last; FLTrust then sorts the
+  // trust it gave each update into that update's and the benign ones'.
+  struct RecordingAttack : attack::RandomWeightsAttack {
+    using RandomWeightsAttack::RandomWeightsAttack;
+    attack::Update craft(const attack::AttackContext& ctx) override {
+      crafted = RandomWeightsAttack::craft(ctx);
+      return crafted;
+    }
+    attack::Update crafted;
+  };
+  struct Trust {
+    std::vector<double> malicious;
+    std::vector<double> benign;
+  };
+  struct RecordingFlTrust : defense::FlTrust {
+    RecordingFlTrust(const SimulationConfig& config,
+                     const RecordingAttack& attack, Trust& trust)
+        : FlTrust(data::make_synthetic_dataset(config.task, 48, 777),
+                  models::task_model_factory(config.task),
+                  data::LocalSgdOptions{}, 9),
+          attack_(&attack), trust_(&trust) {}
+    defense::AggregationResult do_aggregate(
+        std::span<const defense::UpdateView> updates,
+        std::span<const std::int64_t> weights) override {
+      defense::AggregationResult result = FlTrust::do_aggregate(updates,
+                                                                weights);
+      for (std::size_t k = 0; k < updates.size(); ++k) {
+        const bool crafted = std::ranges::equal(updates[k], attack_->crafted);
+        (crafted ? trust_->malicious : trust_->benign)
+            .push_back(last_trust_scores()[k]);
+      }
+      return result;
+    }
+    const RecordingAttack* attack_;
+    Trust* trust_;
+  };
+
   SimulationConfig config = tiny_config();
   config.malicious_fraction = 0.2;
-  config.custom_defense = [&config] {
-    return std::make_unique<defense::FlTrust>(
-        data::make_synthetic_dataset(config.task, 48, 777),
-        models::task_model_factory(config.task),
-        data::LocalSgdOptions{}, 9);
+  RecordingAttack attack(0.5f, 13);
+  Trust trust;
+  config.custom_defense = [&config, &attack, &trust] {
+    return std::make_unique<RecordingFlTrust>(config, attack, trust);
   };
   Simulation sim(config);
-  attack::RandomWeightsAttack attack(0.5f, 13);
   const auto result = sim.run(&attack);
   EXPECT_TRUE(result.defense_selects);
   // Random-weight updates are uncorrelated with the server direction, so
-  // FLTrust should reject nearly all of them.
+  // FLTrust should reject nearly all of them, and give the ones it keeps
+  // almost no trust.
   EXPECT_LT(result.dpr(), 60.0);
+  ASSERT_FALSE(trust.malicious.empty());
+  ASSERT_FALSE(trust.benign.empty());
+  std::ranges::sort(trust.benign);
+  const double benign_median = trust.benign[trust.benign.size() / 2];
+  EXPECT_GT(benign_median, 0.2);
+  for (const double score : trust.malicious) EXPECT_LT(score, 0.1);
   EXPECT_GT(result.max_accuracy, 0.2);
 }
 

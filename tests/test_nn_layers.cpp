@@ -404,35 +404,10 @@ TEST(Activations, ReLUGradientMasksNegative) {
   EXPECT_FLOAT_EQ(gx[1], 10.0f);
 }
 
-TEST(Activations, LeakyReLUSlope) {
-  LeakyReLU leaky(0.1f);
-  const Tensor x({2}, std::vector<float>{-2, 2});
-  const Tensor y = leaky.forward(x);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[1], 2.0f);
-  const Tensor gx = leaky.backward(Tensor({2}, 1.0f));
-  EXPECT_FLOAT_EQ(gx[0], 0.1f);
-  EXPECT_FLOAT_EQ(gx[1], 1.0f);
-}
-
 TEST(Activations, TanhGradient) {
   Tanh tanh_layer;
   test::check_input_gradient(tanh_layer, random_input({3, 4}, 32), 1e-3,
                              2e-2);
-}
-
-TEST(Activations, SigmoidGradient) {
-  Sigmoid sigmoid;
-  test::check_input_gradient(sigmoid, random_input({3, 4}, 33), 1e-3, 2e-2);
-}
-
-TEST(Activations, SigmoidRange) {
-  Sigmoid sigmoid;
-  const Tensor y = sigmoid.forward(random_input({100}, 34));
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    EXPECT_GT(y[i], 0.0f);
-    EXPECT_LT(y[i], 1.0f);
-  }
 }
 
 // ---------- Flatten / Unflatten ----------

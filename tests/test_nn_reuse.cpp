@@ -236,9 +236,7 @@ TEST(NnReuse, Linear) { check_reuse(seeded<Linear>(12, 5), rows(12), 4); }
 
 TEST(NnReuse, Activations) {
   check_reuse(stateless<ReLU>(), nchw(2, 3, 3), 5);
-  check_reuse(stateless<LeakyReLU>(0.1f), nchw(2, 3, 3), 6);
   check_reuse(stateless<Tanh>(), rows(7), 7);
-  check_reuse(stateless<Sigmoid>(), rows(7), 8);
 }
 
 TEST(NnReuse, MaxPool2d) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nn/linear.h"
 #include "nn/sequential.h"
 #include "util/rng.h"
@@ -9,49 +11,53 @@
 namespace zka::nn {
 namespace {
 
+// Sets every gradient of `layer` to a distinct value and returns the
+// parameters and gradients it holds before a step.
+struct Snapshot {
+  std::vector<float> values;
+  std::vector<float> grads;
+};
+
+Snapshot seed_gradients(Linear& layer) {
+  Snapshot s;
+  float g = -1.0f;
+  for (Parameter* p : layer.parameters()) {
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
+      p->grad[i] = g;
+      g += 0.25f;
+      s.values.push_back(p->value[i]);
+      s.grads.push_back(p->grad[i]);
+    }
+  }
+  return s;
+}
+
 TEST(Sgd, VanillaStep) {
-  Parameter p(tensor::Tensor({2}, std::vector<float>{1.0f, 2.0f}));
-  p.grad[0] = 0.5f;
-  p.grad[1] = -1.0f;
-  Sgd opt({&p}, {.learning_rate = 0.1f});
+  util::Rng rng(1);
+  Linear layer(3, 2, rng);
+  const Snapshot before = seed_gradients(layer);
+  Sgd opt(layer, 0.1f);
   opt.step();
-  EXPECT_FLOAT_EQ(p.value[0], 1.0f - 0.1f * 0.5f);
-  EXPECT_FLOAT_EQ(p.value[1], 2.0f + 0.1f);
-}
-
-TEST(Sgd, WeightDecayAddsL2Pull) {
-  Parameter p(tensor::Tensor({1}, std::vector<float>{2.0f}));
-  p.grad[0] = 0.0f;
-  Sgd opt({&p}, {.learning_rate = 0.5f, .weight_decay = 0.1f});
-  opt.step();
-  EXPECT_FLOAT_EQ(p.value[0], 2.0f - 0.5f * 0.1f * 2.0f);
-}
-
-TEST(Sgd, MomentumAccumulatesVelocity) {
-  Parameter p(tensor::Tensor({1}, std::vector<float>{0.0f}));
-  Sgd opt({&p}, {.learning_rate = 1.0f, .momentum = 0.9f});
-  p.grad[0] = 1.0f;
-  opt.step();  // v = 1, w = -1
-  EXPECT_FLOAT_EQ(p.value[0], -1.0f);
-  p.grad[0] = 1.0f;
-  opt.step();  // v = 1.9, w = -2.9
-  EXPECT_FLOAT_EQ(p.value[0], -2.9f);
+  std::size_t k = 0;
+  for (Parameter* p : layer.parameters()) {
+    for (std::int64_t i = 0; i < p->value.numel(); ++i, ++k) {
+      EXPECT_EQ(p->value[i], before.values[k] - 0.1f * before.grads[k]);
+    }
+  }
+  EXPECT_EQ(k, 3u * 2u + 2u);
 }
 
 TEST(Sgd, ZeroGradClearsAll) {
-  Parameter p(tensor::Tensor({3}, 1.0f));
-  p.grad.fill(7.0f);
-  Sgd opt({&p}, {});
+  util::Rng rng(2);
+  Linear layer(3, 2, rng);
+  seed_gradients(layer);
+  Sgd opt(layer, 0.1f);
   opt.zero_grad();
-  for (std::int64_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(p.grad[i], 0.0f);
-}
-
-TEST(Sgd, LearningRateMutable) {
-  Parameter p(tensor::Tensor({1}));
-  Sgd opt({&p}, {.learning_rate = 0.1f});
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 0.1f);
-  opt.set_learning_rate(0.01f);
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 0.01f);
+  for (Parameter* p : layer.parameters()) {
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
+      EXPECT_EQ(p->grad[i], 0.0f);
+    }
+  }
 }
 
 TEST(Sgd, TrainingReducesLossOnToyRegression) {
@@ -59,7 +65,7 @@ TEST(Sgd, TrainingReducesLossOnToyRegression) {
   util::Rng rng(4);
   Sequential net;
   net.emplace<Linear>(3, 1, rng);
-  Sgd opt(net, {.learning_rate = 0.05f});
+  Sgd opt(net, 0.05f);
 
   const tensor::Tensor x = tensor::Tensor::uniform({16, 3}, rng, -1.0f, 1.0f);
   tensor::Tensor target({16, 1});
@@ -76,11 +82,11 @@ TEST(Sgd, TrainingReducesLossOnToyRegression) {
     return acc;
   };
   const double before = loss_of();
+  tensor::Tensor grad({16, 1});
   for (int step = 0; step < 50; ++step) {
     opt.zero_grad();
-    const tensor::Tensor y = net.forward(x);
-    tensor::Tensor grad = y;
-    grad -= target;
+    const tensor::Tensor& y = net.forward(x);
+    for (std::int64_t i = 0; i < 16; ++i) grad[i] = y[i] - target[i];
     net.backward(grad);
     opt.step();
   }

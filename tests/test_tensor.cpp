@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/rng.h"
 
 namespace zka::tensor {
@@ -57,39 +55,10 @@ TEST(Tensor, IndexSelect0) {
   EXPECT_THROW(t.index_select0(bad), std::out_of_range);
 }
 
-TEST(Tensor, ElementwiseArithmetic) {
-  Tensor a({2}, std::vector<float>{1, 2});
-  Tensor b({2}, std::vector<float>{3, 5});
-  const Tensor sum = a + b;
-  EXPECT_FLOAT_EQ(sum[0], 4.0f);
-  const Tensor diff = b - a;
-  EXPECT_FLOAT_EQ(diff[1], 3.0f);
-  const Tensor prod = a * b;
-  EXPECT_FLOAT_EQ(prod[1], 10.0f);
-  const Tensor scaled = a * 2.0f;
-  EXPECT_FLOAT_EQ(scaled[1], 4.0f);
-  const Tensor scaled2 = 3.0f * a;
-  EXPECT_FLOAT_EQ(scaled2[0], 3.0f);
-  a += 1.0f;
-  EXPECT_FLOAT_EQ(a[0], 2.0f);
-}
-
-TEST(Tensor, ShapeMismatchThrows) {
-  Tensor a({2});
-  Tensor b({3});
-  EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
-  EXPECT_THROW(a *= b, std::invalid_argument);
-}
-
-TEST(Tensor, Reductions) {
-  Tensor t({4}, std::vector<float>{-1, 2, 7, 0});
-  EXPECT_FLOAT_EQ(t.sum(), 8.0f);
-  EXPECT_FLOAT_EQ(t.mean(), 2.0f);
-  EXPECT_FLOAT_EQ(t.min(), -1.0f);
+TEST(Tensor, MaxAndArgmax) {
+  Tensor t({5}, std::vector<float>{-1, 7, 2, 7, 0});
   EXPECT_FLOAT_EQ(t.max(), 7.0f);
-  EXPECT_EQ(t.argmax(), 2);
-  EXPECT_NEAR(t.l2_norm(), std::sqrt(1.0 + 4.0 + 49.0), 1e-6);
+  EXPECT_EQ(t.argmax(), 1);  // first on ties
 }
 
 TEST(Tensor, UniformFillWithinBounds) {
@@ -104,7 +73,9 @@ TEST(Tensor, UniformFillWithinBounds) {
 TEST(Tensor, NormalFillHasApproxMoments) {
   util::Rng rng(6);
   const Tensor t = Tensor::normal({10000}, rng, 1.0f, 2.0f);
-  EXPECT_NEAR(t.mean(), 1.0f, 0.1f);
+  double sum = 0.0;
+  for (const float x : t.data()) sum += x;
+  EXPECT_NEAR(sum / static_cast<double>(t.numel()), 1.0, 0.1);
 }
 
 TEST(Tensor, Allclose) {
@@ -118,7 +89,6 @@ TEST(Tensor, Allclose) {
 
 TEST(Tensor, EmptyReductionsThrow) {
   Tensor empty;
-  EXPECT_THROW(empty.min(), std::logic_error);
   EXPECT_THROW(empty.max(), std::logic_error);
   EXPECT_THROW(empty.argmax(), std::logic_error);
 }

@@ -184,7 +184,7 @@ class SerialZkaR {
           rng_.split(0xf117 + static_cast<std::uint64_t>(s));
       auto filter =
           models::make_filter_layer(spec_, options_.filter_kernel, filter_rng);
-      nn::Sgd optimizer(*filter, {.learning_rate = options_.synthesis_lr});
+      nn::Sgd optimizer(*filter, options_.synthesis_lr);
       for (std::size_t epoch = 0; epoch < losses_.size(); ++epoch) {
         optimizer.zero_grad();
         classifier_->zero_grad();
