@@ -13,7 +13,6 @@
 #include "fl/metrics.h"
 #include "models/models.h"
 #include "nn/conv2d.h"
-#include "nn/conv_transpose2d.h"
 #include "tensor/ops.h"
 #include "util/prof.h"
 #include "util/rng.h"
@@ -72,7 +71,7 @@ void BM_Im2Col(benchmark::State& state) {
   std::vector<float> col(
       static_cast<std::size_t>(g.patch_size() * g.out_h() * g.out_w()));
   for (auto _ : state) {
-    tensor::im2col(g, img.raw(), col.data());
+    tensor::im2col_batched(g, img.raw(), 1, col.data());
     benchmark::DoNotOptimize(col.data());
   }
 }

@@ -212,7 +212,7 @@ void col2im_one(const ConvGeometry& g, const float* col, float* image,
              static_cast<long long>(g.patch_size()));
 }
 
-// Geometry preconditions shared by the four im2col/col2im entry points.
+// Geometry preconditions shared by the im2col/col2im entry points.
 // Violations are programmer errors in the conv layers, not user input, so
 // this is contract-build-only.
 void dcheck_geometry(const ConvGeometry& g, std::int64_t batch) noexcept {
@@ -263,16 +263,6 @@ void gemm_at_b(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void gemm_a_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                const float* a, const float* b, float beta, float* c) noexcept {
   gemm_driver(GemmLayout::kABt, m, n, k, alpha, a, b, beta, c);
-}
-
-void im2col(const ConvGeometry& g, const float* image, float* col) noexcept {
-  dcheck_geometry(g, 1);
-  im2col_one(g, image, col, g.out_h() * g.out_w(), 0);
-}
-
-void col2im(const ConvGeometry& g, const float* col, float* image) noexcept {
-  dcheck_geometry(g, 1);
-  col2im_one(g, col, image, g.out_h() * g.out_w(), 0);
 }
 
 void im2col_batched(const ConvGeometry& g, const float* images,

@@ -79,21 +79,12 @@ struct ConvGeometry {
   }
 };
 
-/// Lowers one [C,H,W] image into columns [C*K*K, OH*OW]; out-of-image taps
-/// are zero. `col` must hold patch_size() * out_h() * out_w() floats.
-void im2col(const ConvGeometry& g, const float* image, float* col) noexcept;
-
-/// Adjoint of im2col: accumulates columns back into the [C,H,W] image
-/// (image must be zeroed by the caller beforehand if a fresh result is
-/// wanted; contributions are added).
-void col2im(const ConvGeometry& g, const float* col, float* image) noexcept;
-
 /// Batched im2col: lowers `batch` images (contiguous [N,C,H,W]) into one
 /// column matrix [C*K*K, N * OH*OW], sample s occupying the column slab
-/// [s*OH*OW, (s+1)*OH*OW). A convolution over the whole batch is then a
-/// single GEMM against this matrix instead of N small ones. `col` must
-/// hold patch_size() * batch * out_h() * out_w() floats. Parallelised over
-/// samples (disjoint writes, deterministic).
+/// [s*OH*OW, (s+1)*OH*OW); out-of-image taps are zero. A convolution over
+/// the whole batch is then a single GEMM against this matrix instead of N
+/// small ones. `col` must hold patch_size() * batch * out_h() * out_w()
+/// floats. Parallelised over samples (disjoint writes, deterministic).
 void im2col_batched(const ConvGeometry& g, const float* images,
                     std::int64_t batch, float* col) noexcept;
 

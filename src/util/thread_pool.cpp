@@ -77,21 +77,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> result = task.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    jobs_.push(std::move(task));
-  }
-  cv_.notify_one();
-  return result;
-}
-
-bool ThreadPool::in_worker_thread() const noexcept {
-  return t_worker_of == this;
-}
-
 std::size_t ThreadPool::participant_index() const noexcept {
   return t_worker_of == this ? t_worker_index : 0;
 }
@@ -136,7 +121,7 @@ void ThreadPool::worker_loop(std::size_t index) {
   t_worker_index = index;
   std::unique_lock lock(mutex_);
   for (;;) {
-    cv_.wait(lock, [this] { return stopping_ || seats_ > 0 || !jobs_.empty(); });
+    cv_.wait(lock, [this] { return stopping_ || seats_ > 0; });
     if (seats_ > 0) {
       --seats_;
       ++active_;
@@ -145,14 +130,8 @@ void ThreadPool::worker_loop(std::size_t index) {
       region.drain();
       lock.lock();
       if (--active_ == 0) region_done_.notify_all();
-    } else if (!jobs_.empty()) {
-      std::packaged_task<void()> job = std::move(jobs_.front());
-      jobs_.pop();
-      lock.unlock();
-      job();
-      lock.lock();
     } else {
-      return;  // stopping_, and nothing left to run
+      return;  // stopping_, and no region to join
     }
   }
 }

@@ -1,17 +1,13 @@
 // Fixed-size worker pool used to train the clients of an FL round in
-// parallel. Submitted jobs are type-erased std::function tasks;
-// parallel_for is a blocking index-range helper with deterministic
-// per-index work that allocates nothing, so the kernels can fork on every
-// call of a steady-state training step.
+// parallel. Its one dispatch path, parallel_for, is a blocking index-range
+// helper with deterministic per-index work that allocates nothing, so the
+// kernels can fork on every call of a steady-state training step.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -52,9 +48,6 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueues a job; the future resolves when it completes.
-  std::future<void> submit(std::function<void()> job);
-
   /// Runs body(i) for i in [0, n) across the pool and blocks until done.
   /// The calling thread takes part. Exceptions from the body propagate to
   /// the caller (first one wins).
@@ -75,18 +68,14 @@ class ThreadPool {
   /// sees its outer body's, so the index can pick per-thread scratch.
   std::size_t participant_index() const noexcept;
 
-  /// True iff the calling thread is one of this pool's workers.
-  bool in_worker_thread() const noexcept;
-
  private:
   struct Region;
 
   void worker_loop(std::size_t index);
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> jobs_;
   std::mutex mutex_;
-  std::condition_variable cv_;  // workers: a job or a region seat is ready
+  std::condition_variable cv_;  // workers: a region seat is ready
   std::condition_variable region_done_;  // caller: no helper left in region_
   // The running parallel_for, if any (guarded by mutex_): how many more
   // workers may join it, and how many are inside it.

@@ -1,10 +1,11 @@
 // Allocation gate: a steady-state training step, a client's whole local
-// training, an eval (one serial batch, or a whole pool eval), ZKA step 2
-// and a ZKA-R synthesis epoch allocate nothing. This binary replaces the global
-// operator new/delete with counting versions; each case runs its step once
-// to warm the buffers up, then counts every allocation, on any thread, made
-// while the step runs again. Registered at several pool sizes so the
-// pool-parallel GEMM and im2col/col2im paths are counted too.
+// training, an eval (one serial batch, or a whole pool eval), ZKA step 2,
+// a ZKA-R synthesis epoch and a ZKA-G generator epoch allocate nothing.
+// This binary replaces the global operator new/delete with counting
+// versions; each case runs its step once to warm the buffers up, then
+// counts every allocation, on any thread, made while the step runs again.
+// Registered at several pool sizes so the pool-parallel GEMM and
+// im2col/col2im paths are counted too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,6 +206,29 @@ TEST(AllocationGate, ZkaRSynthesisEpoch) {
               0)
         << (frozen ? "frozen" : "unfrozen") << " classifier";
   }
+}
+
+// One ZKA-G generator epoch as ZkaGAttack::synthesize runs it: G(Z), the
+// frozen classifier, the ascent loss, backward through the classifier
+// into the generator's ConvTranspose2d layers, and the generator's step.
+TEST(AllocationGate, ZkaGGeneratorEpoch) {
+  const auto spec = models::fashion_spec();
+  util::Rng rng(16);
+  auto classifier = models::task_model_factory(models::Task::kFashion)(17);
+  classifier->freeze();
+  auto generator = models::make_tcnn_generator(spec, 64, rng);
+  nn::Sgd optimizer(*generator, 0.05f);
+  nn::SoftmaxCrossEntropy loss(-1.0f);
+  const tensor::Tensor latent = tensor::Tensor::normal({32, 64}, rng);
+  const std::vector<std::int64_t> decoy(32, 3);
+  EXPECT_EQ(steady_state_allocations([&] {
+              optimizer.zero_grad();
+              loss.forward(classifier->forward(generator->forward(latent)),
+                           decoy);
+              generator->backward(classifier->backward(loss.backward()));
+              optimizer.step();
+            }),
+            0);
 }
 
 // registry.train(id, ...) on a warm replica, as the simulator's pool

@@ -2,13 +2,13 @@
 
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <span>
 
 #include "grad_check.h"
 #include "models/models.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/conv_transpose2d.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
 #include "nn/pooling.h"
@@ -23,6 +23,11 @@ using tensor::Tensor;
 Tensor random_input(tensor::Shape shape, std::uint64_t seed) {
   util::Rng rng(seed);
   return Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f);
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
 }
 
 // ---------- Linear ----------
@@ -349,6 +354,63 @@ TEST(ConvTranspose2d, AdjointOfConv2d) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+TEST(ConvTranspose2d, RunsConv2dLoweringInReverse) {
+  // A ConvTranspose2d sharing a Conv2d's weight (and zero biases) runs the
+  // conv's lowering backwards, so the two must agree bit for bit: the
+  // deconv's forward is the conv's input gradient, the deconv's input
+  // gradient is the conv's forward, and both weight gradients are
+  // gathered(y) @ im2col(x)ᵀ.
+  struct Case {
+    std::int64_t in, out, k, s, p, n, oh, ow;
+  };
+  std::vector<Case> cases;
+  util::Rng draw(500);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    draw.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  while (cases.size() < 60) {
+    Case c{pick(1, 4), pick(1, 4), pick(1, 5), pick(1, 3),
+           pick(0, 2), pick(1, 9), pick(1, 6), pick(1, 6)};
+    // The conv's input must be non-empty: (OH-1)*s - 2p + k >= 1.
+    if ((c.oh - 1) * c.s - 2 * c.p + c.k < 1) continue;
+    if ((c.ow - 1) * c.s - 2 * c.p + c.k < 1) continue;
+    cases.push_back(c);
+  }
+  // 36 * 16*16 * 32 column entries cross the pool-parallel im2col/col2im
+  // threshold (2^18).
+  cases.push_back({4, 3, 3, 1, 1, 32, 16, 16});
+
+  std::uint64_t seed = 510;
+  for (const Case& c : cases) {
+    const std::int64_t h = (c.oh - 1) * c.s - 2 * c.p + c.k;
+    const std::int64_t w = (c.ow - 1) * c.s - 2 * c.p + c.k;
+    util::Rng rng(seed++);
+    Conv2d conv(c.in, c.out, c.k, c.s, c.p, rng);
+    ConvTranspose2d deconv(c.out, c.in, c.k, c.s, c.p, rng);
+    deconv.parameters()[0]->value = conv.parameters()[0]->value;
+    conv.parameters()[1]->value.fill(0.0f);
+    deconv.parameters()[1]->value.fill(0.0f);
+    const Tensor x = random_input({c.n, c.in, h, w}, seed++);
+    const Tensor y = random_input({c.n, c.out, c.oh, c.ow}, seed++);
+
+    const Tensor conv_x = conv.forward(x);
+    const Tensor& conv_dy = conv.backward(y);
+    const Tensor& deconv_y = deconv.forward(y);
+    std::ostringstream what;
+    what << "in=" << c.in << " out=" << c.out << " k=" << c.k << " s=" << c.s
+         << " p=" << c.p << " n=" << c.n << " " << c.oh << "x" << c.ow;
+    ASSERT_EQ(conv_x.shape(), (tensor::Shape{c.n, c.out, c.oh, c.ow}))
+        << what.str();
+    EXPECT_TRUE(same_bits(deconv_y.data(), conv_dy.data())) << what.str();
+    EXPECT_TRUE(same_bits(deconv.backward(x).data(), conv_x.data()))
+        << what.str();
+    EXPECT_TRUE(same_bits(deconv.parameters()[0]->grad.data(),
+                          conv.parameters()[0]->grad.data()))
+        << what.str();
+  }
+}
+
 // ---------- MaxPool2d ----------
 
 TEST(MaxPool2d, ForwardSelectsWindowMax) {
@@ -493,11 +555,6 @@ TEST(FlatParams, AddToGradsAccumulates) {
 }
 
 // ---------- freeze() ----------
-
-bool same_bits(std::span<const float> a, std::span<const float> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
-}
 
 // A frozen module's backward returns the unfrozen input gradient bit for
 // bit and leaves every parameter gradient as it found it. `make` must build

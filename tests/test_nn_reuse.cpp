@@ -21,7 +21,6 @@
 #include "models/models.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/conv_transpose2d.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
 #include "nn/pooling.h"

@@ -256,7 +256,7 @@ TEST(Im2ColBatched, MatchesPerSampleLowering) {
 
   std::vector<float> single(static_cast<std::size_t>(patch * spatial));
   for (std::int64_t s = 0; s < batch; ++s) {
-    im2col(g, images.data() + s * image_size, single.data());
+    im2col_batched(g, images.data() + s * image_size, 1, single.data());
     for (std::int64_t r = 0; r < patch; ++r) {
       for (std::int64_t i = 0; i < spatial; ++i) {
         EXPECT_EQ(batched[static_cast<std::size_t>(r * batch * spatial +
@@ -288,7 +288,7 @@ TEST(Col2ImBatched, MatchesPerSampleScatter) {
                   static_cast<std::size_t>(spatial) * sizeof(float));
     }
     std::vector<float> image(static_cast<std::size_t>(image_size), 0.0f);
-    col2im(g, slab.data(), image.data());
+    col2im_batched(g, slab.data(), 1, image.data());
     for (std::int64_t i = 0; i < image_size; ++i) {
       EXPECT_EQ(batched[static_cast<std::size_t>(s * image_size + i)],
                 image[static_cast<std::size_t>(i)])
@@ -305,7 +305,7 @@ TEST(Im2Col, StridedAndPaddedMatchesDirectIndexing) {
   const auto image = random_vec(g.in_channels * g.in_h * g.in_w, 970);
   std::vector<float> col(static_cast<std::size_t>(g.patch_size() * spatial),
                          -7.0f);
-  im2col(g, image.data(), col.data());
+  im2col_batched(g, image.data(), 1, col.data());
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
@@ -344,7 +344,7 @@ TEST(Im2Col, IdentityKernelReproducesImage) {
   const ConvGeometry g{2, 3, 3, 1, 1, 0};
   const Tensor img = random_tensor({2, 3, 3}, 12);
   std::vector<float> col(static_cast<std::size_t>(g.patch_size() * 9));
-  im2col(g, img.raw(), col.data());
+  im2col_batched(g, img.raw(), 1, col.data());
   for (std::int64_t i = 0; i < img.numel(); ++i) {
     EXPECT_FLOAT_EQ(col[static_cast<std::size_t>(i)], img[i]);
   }
@@ -355,7 +355,7 @@ TEST(Im2Col, PaddingProducesZeros) {
   const Tensor img({1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   std::vector<float> col(static_cast<std::size_t>(g.patch_size() *
                                                   g.out_h() * g.out_w()));
-  im2col(g, img.raw(), col.data());
+  im2col_batched(g, img.raw(), 1, col.data());
   // Kernel tap (0,0) at output (0,0) reads image(-1,-1) -> 0.
   EXPECT_FLOAT_EQ(col[0], 0.0f);
   // Center tap (1,1) at output (0,0) reads image(0,0) = 1.
@@ -371,14 +371,14 @@ TEST(Im2ColCol2Im, AdjointDotProductIdentity) {
   const Tensor y = random_tensor({cols}, 14);
 
   std::vector<float> x_cols(static_cast<std::size_t>(cols));
-  im2col(g, x.raw(), x_cols.data());
+  im2col_batched(g, x.raw(), 1, x_cols.data());
   double lhs = 0.0;
   for (std::int64_t i = 0; i < cols; ++i) {
     lhs += static_cast<double>(x_cols[static_cast<std::size_t>(i)]) * y[i];
   }
 
   Tensor x_back({2, 6, 5});
-  col2im(g, y.raw(), x_back.raw());
+  col2im_batched(g, y.raw(), 1, x_back.raw());
   double rhs = 0.0;
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     rhs += static_cast<double>(x[i]) * x_back[i];
@@ -392,7 +392,7 @@ TEST(Col2Im, AccumulatesOverlaps) {
   const ConvGeometry g{1, 3, 3, 2, 1, 0};
   std::vector<float> col(static_cast<std::size_t>(g.patch_size() * 4), 1.0f);
   Tensor img({1, 3, 3});
-  col2im(g, col.data(), img.raw());
+  col2im_batched(g, col.data(), 1, img.raw());
   EXPECT_FLOAT_EQ(img.at({0, 1, 1}), 4.0f);  // center: 4 windows
   EXPECT_FLOAT_EQ(img.at({0, 0, 0}), 1.0f);  // corner: 1 window
   EXPECT_FLOAT_EQ(img.at({0, 0, 1}), 2.0f);  // edge: 2 windows

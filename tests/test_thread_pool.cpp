@@ -2,32 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace zka::util {
 namespace {
-
-TEST(ThreadPool, SubmitRunsJob) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto f = pool.submit([&] { counter.fetch_add(1); });
-  f.wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ManyJobsAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.wait();
-  EXPECT_EQ(counter.load(), 200);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -113,16 +96,6 @@ TEST(ThreadPool, TriplyNestedParallelFor) {
   EXPECT_EQ(counter.load(), 2 * 3 * 4);
 }
 
-TEST(ThreadPool, NestedParallelForFromSubmittedJob) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-        pool.parallel_for(16, [&](std::size_t) { counter.fetch_add(1); });
-      })
-      .wait();
-  EXPECT_EQ(counter.load(), 16);
-}
-
 TEST(ThreadPool, NestedParallelForPropagatesException) {
   ThreadPool pool(2);
   EXPECT_THROW(
@@ -133,21 +106,6 @@ TEST(ThreadPool, NestedParallelForPropagatesException) {
                           });
                         }),
       std::runtime_error);
-}
-
-TEST(ThreadPool, InWorkerThreadDetection) {
-  ThreadPool pool(2);
-  ThreadPool other(1);
-  EXPECT_FALSE(pool.in_worker_thread());
-  std::atomic<bool> inside_own{false};
-  std::atomic<bool> inside_other{true};
-  pool.submit([&] {
-        inside_own.store(pool.in_worker_thread());
-        inside_other.store(other.in_worker_thread());
-      })
-      .wait();
-  EXPECT_TRUE(inside_own.load());    // a worker knows its own pool
-  EXPECT_FALSE(inside_other.load());  // ...and is not a worker of another
 }
 
 // Runs `n` bodies on `pool`, each holding its participant index for a
@@ -167,6 +125,19 @@ int index_collisions(ThreadPool& pool, std::size_t n,
   return collisions.load();
 }
 
+// Runs body(i) for i in {0, 1} on `pool`, each body waiting until both
+// have started: they run at once, so one of them runs on a worker of
+// `pool` and the other on the calling thread.
+template <typename F>
+void run_two_at_once(ThreadPool& pool, F&& body) {
+  std::atomic<int> arrived{0};
+  pool.parallel_for(2, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    body(i);
+  });
+}
+
 TEST(ThreadPool, ConcurrentBodiesNeverShareAParticipantIndex) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> holders(pool.size() + 1);
@@ -175,24 +146,34 @@ TEST(ThreadPool, ConcurrentBodiesNeverShareAParticipantIndex) {
   // worker) take turns, so the caller index 0 has one holder at a time.
   ThreadPool outside(1);
   std::atomic<int> collisions{0};
-  auto other = outside.submit(
-      [&] { collisions.fetch_add(index_collisions(pool, 2000, holders)); });
-  collisions.fetch_add(index_collisions(pool, 2000, holders));
-  other.wait();
+  run_two_at_once(outside, [&](std::size_t) {
+    collisions.fetch_add(index_collisions(pool, 2000, holders));
+  });
   EXPECT_EQ(collisions.load(), 0);
 }
 
 TEST(ThreadPool, ParticipantIndexOfCallersAndWorkers) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.participant_index(), 0u);  // not a worker
-  std::atomic<std::size_t> in_job{0};
-  pool.submit([&] { in_job.store(pool.participant_index()); }).wait();
-  EXPECT_GE(in_job.load(), 1u);
-  EXPECT_LE(in_job.load(), pool.size());
+  std::atomic<std::size_t> seen[2] = {99, 99};
+  run_two_at_once(pool, [&](std::size_t i) {
+    seen[i].store(pool.participant_index());
+  });
+  const std::size_t caller = std::min(seen[0].load(), seen[1].load());
+  const std::size_t worker = std::max(seen[0].load(), seen[1].load());
+  EXPECT_EQ(caller, 0u);
+  EXPECT_GE(worker, 1u);
+  EXPECT_LE(worker, pool.size());
   ThreadPool other(1);
-  std::atomic<std::size_t> in_other{99};
-  other.submit([&] { in_other.store(pool.participant_index()); }).wait();
-  EXPECT_EQ(in_other.load(), 0u);  // a worker of another pool
+  std::atomic<int> on_other_worker{0};
+  std::atomic<std::size_t> in_other[2] = {99, 99};
+  run_two_at_once(other, [&](std::size_t i) {
+    if (other.participant_index() != 0) on_other_worker.fetch_add(1);
+    in_other[i].store(pool.participant_index());
+  });
+  EXPECT_EQ(on_other_worker.load(), 1);
+  EXPECT_EQ(in_other[0].load(), 0u);  // one of these is a worker of
+  EXPECT_EQ(in_other[1].load(), 0u);  // another pool
 }
 
 TEST(ThreadPool, NestedParallelForSeesOuterIndex) {
