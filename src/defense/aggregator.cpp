@@ -3,6 +3,16 @@
 #include "util/check.h"
 
 namespace zka::defense {
+namespace {
+
+void check_weights(std::span<const std::int64_t> weights) {
+  for (const std::int64_t w : weights) {
+    ZKA_CHECK(w >= 0, "aggregate: negative weight %lld",
+              static_cast<long long>(w));
+  }
+}
+
+}  // namespace
 
 AggregationResult Aggregator::aggregate(
     std::span<const UpdateView> updates,
@@ -37,16 +47,28 @@ AggregationResult Aggregator::aggregate(
 
 void Aggregator::begin_stream(std::size_t dim,
                               std::span<const std::int64_t> weights) {
+  // validate_updates' contract, proven once for every rule's stream.
+  ZKA_CHECK(dim > 0, "%s: empty update dimension", name().c_str());
+  ZKA_CHECK(!weights.empty(), "%s: no weights for streaming round",
+            name().c_str());
+  check_weights(weights);
+  stream_dim_ = dim;
   do_begin_stream(dim, ingress_.admit_weights(weights));
 }
 
 void Aggregator::stream_update(UpdateView update) {
+  ZKA_CHECK(update.size() == stream_dim_,
+            "%s: streamed update has %zu coordinates, expected %zu",
+            name().c_str(), update.size(), stream_dim_);
   // A buffered row is admitted with its matrix, as aggregate() would.
   do_stream_update(supports_streaming() ? ingress_.admit_update(update)
                                         : update);
 }
 
 void Aggregator::stream_replay(std::size_t index, UpdateView update) {
+  ZKA_CHECK(update.size() == stream_dim_,
+            "%s: replayed update has %zu coordinates, expected %zu",
+            name().c_str(), update.size(), stream_dim_);
   // Same admission as pass 1: sanitization is deterministic, so the rule
   // sees bit-identical rows across the two passes.
   do_stream_replay(index, ingress_.admit_update(update));
@@ -115,10 +137,7 @@ void validate_updates(std::span<const UpdateView> updates,
   // layer's job (defense/sanitize.h), enforced by the Aggregator entry
   // points before any rule runs. Keeping it out of the shape contract is
   // what lets sanitize-off runs reproduce the undefended server.
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "aggregate: negative weight %lld",
-              static_cast<long long>(w));
-  }
+  check_weights(weights);
 }
 
 }  // namespace zka::defense

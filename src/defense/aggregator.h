@@ -136,13 +136,16 @@ class Aggregator {
   virtual bool streaming_exact() const noexcept { return true; }
 
   /// Starts a round: `dim` coordinates per update, one weight per
-  /// forthcoming stream_update call, in call order.
+  /// forthcoming stream_update call, in call order. Throws
+  /// std::invalid_argument, before the rule sees the round, for what
+  /// validate_updates rejects: dim 0, no weights, or a negative weight.
   void begin_stream(std::size_t dim, std::span<const std::int64_t> weights);
 
   /// Submits the next update (submission order). A folding rule admits
   /// and consumes the row now, so the view need only stay valid for the
   /// call; a buffering rule holds the view, which must then stay valid
-  /// until finish_stream() returns.
+  /// until finish_stream() returns. Throws std::invalid_argument for a
+  /// row whose length is not begin_stream's dim.
   void stream_update(UpdateView update);
 
   /// After the last stream_update: the ascending index set (into the
@@ -155,7 +158,8 @@ class Aggregator {
   /// stream_replay_request(), ascending) with exactly the bits it had in
   /// the first pass — sanitization is deterministic, so re-admitting the
   /// original bytes reproduces the pass-1 row exactly. Throws for rules
-  /// that never request replays.
+  /// that never request replays, and for a row whose length is not
+  /// begin_stream's dim.
   void stream_replay(std::size_t index, UpdateView update);
 
   /// Finishes the round and returns the aggregate, exactly as aggregate()
@@ -165,9 +169,11 @@ class Aggregator {
   virtual AggregationResult finish_stream();
 
  protected:
-  // Per-rule implementations, called with sanitized input. Overrides must
-  // still establish their own contract (validate_updates / ZKA_CHECK):
-  // sanitization normalizes values, it does not prove shapes.
+  // Per-rule implementations, called with sanitized input. The stream
+  // hooks get shapes the entry points already checked (dim > 0, weights
+  // present and non-negative, every row dim long); do_aggregate must
+  // establish its own (validate_updates): sanitization normalizes values,
+  // it does not prove shapes.
   // do_aggregate is the batch rule of a rule that cannot fold exactly;
   // the default throws, so an exact folding rule defines only its stream.
   virtual AggregationResult do_aggregate(std::span<const UpdateView> updates,
@@ -180,6 +186,8 @@ class Aggregator {
 
  private:
   sanitize::Ingress ingress_;
+  // The open stream's update dimension, checked on every streamed row.
+  std::size_t stream_dim_ = 0;
   // The buffered round of a rule that cannot fold.
   std::vector<UpdateView> held_;
   std::vector<std::int64_t> held_weights_;

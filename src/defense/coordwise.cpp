@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "tensor/ops.h"
 #include "tensor/reduce.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -31,12 +30,9 @@ void for_each_sorted_coordinate(
   const std::size_t rows = std::bit_ceil(n);
   const std::size_t nblocks = (dim + kCoordBlock - 1) / kCoordBlock;
 
-  const bool parallel = tensor::kernel_parallelism_enabled() && nblocks > 1 &&
-                        n * dim >= (std::size_t{1} << 18) &&
-                        util::global_thread_pool().size() > 1;
-  const std::size_t nchunks =
-      parallel ? std::min(nblocks, util::global_thread_pool().size())
-               : std::size_t{1};
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::size_t fork = pool.fork_width(n * dim);
+  const std::size_t nchunks = fork > 1 ? std::min(nblocks, fork) : 1;
 
   // Scratch is allocated once up front — one tile plus one gather buffer
   // per chunk — instead of per block inside the parallel region, where
@@ -50,11 +46,8 @@ void for_each_sorted_coordinate(
   // ascending order, so every coordinate still sees exactly the same tile
   // contents and comparator sequence as the one-allocation-per-block
   // version — bitwise identical for any thread count.
-  auto run_chunk = [&](std::size_t chunk) {
-    const std::size_t per = nblocks / nchunks;
-    const std::size_t rem = nblocks % nchunks;
-    const std::size_t b0 = chunk * per + std::min(chunk, rem);
-    const std::size_t b1 = b0 + per + (chunk < rem ? 1 : 0);
+  pool.for_ranges(nblocks, nchunks, [&](std::size_t chunk, std::size_t b0,
+                                        std::size_t b1) {
     float* const tile = tiles.data() + chunk * rows * kCoordBlock;
     float* const column = columns.data() + chunk * n;
     for (std::size_t b = b0; b < b1; ++b) {
@@ -78,13 +71,7 @@ void for_each_sorted_coordinate(
         fn(c0 + c, std::span<const float>(column, n));
       }
     }
-  };
-
-  if (parallel) {
-    util::global_thread_pool().parallel_for(nchunks, run_chunk);
-  } else {
-    run_chunk(0);
-  }
+  });
 }
 
 }  // namespace zka::defense

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
-#include "tensor/ops.h"
 #include "tensor/reduce.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -19,21 +17,6 @@ namespace {
 // more than exact per-pair reductions.
 constexpr std::size_t kGramMinRows = 8;
 constexpr std::size_t kGramMinDim = 64;
-
-// Row-parallel pass over n rows of `dim` work each. Task i writes only what
-// it owns (row i's strictly-upper entries plus their mirrors in column i,
-// or row i's sorted neighbor list) as a pure function of the input, so
-// writes are disjoint and deterministic for any thread count.
-void for_each_row(std::size_t n, std::size_t dim,
-                  const std::function<void(std::size_t)>& body) {
-  if (tensor::kernel_parallelism_enabled() && n > 1 &&
-      n * dim >= (std::size_t{1} << 18) &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-}
 
 // Update-dimension agreement: every pairwise reduction below assumes a
 // rectangular [n, dim] block.
@@ -59,18 +42,26 @@ PairwiseMatrix pairwise_sq_distances(std::span<const UpdateView> updates) {
     std::vector<float> gram(n * n);
     std::vector<double> sqn(n);
     tensor::gram_matrix(updates, gram, sqn);
-    for_each_row(n, dim, [&](std::size_t i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double scale = sqn[i] + sqn[j];
-        double d2 = scale - 2.0 * static_cast<double>(gram[i * n + j]);
-        // Cancellation guard: a small expanded distance (colluders, and
-        // any negative round-off) is mostly float noise — recompute it
-        // exactly so Krum's tiny-margin rankings stay trustworthy.
-        if (d2 < kCorrectionThreshold * scale) {
-          d2 = tensor::squared_distance(updates[i], updates[j]);
+    // One task per row, since the triangular rows are unequal work. Task i
+    // writes only row i's strictly-upper entries and their mirrors in
+    // column i (below: row i's neighbor list), a pure function of the
+    // input, so writes are disjoint and deterministic for any thread count.
+    util::ThreadPool& pool = util::global_thread_pool();
+    pool.for_ranges(n, pool.fork_width(n * dim) > 1 ? n : 1,
+                    [&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          const double scale = sqn[i] + sqn[j];
+          double d2 = scale - 2.0 * static_cast<double>(gram[i * n + j]);
+          // Cancellation guard: a small expanded distance (colluders, and
+          // any negative round-off) is mostly float noise — recompute it
+          // exactly so Krum's tiny-margin rankings stay trustworthy.
+          if (d2 < kCorrectionThreshold * scale) {
+            d2 = tensor::squared_distance(updates[i], updates[j]);
+          }
+          d(i, j) = d2;
+          d(j, i) = d2;
         }
-        d(i, j) = d2;
-        d(j, i) = d2;
       }
     });
   } else {
@@ -100,13 +91,17 @@ PairwiseMatrix pairwise_cosine(std::span<const UpdateView> updates) {
     for (std::size_t i = 0; i < n; ++i) {
       inv_norm[i] = sqn[i] > 0.0 ? 1.0 / std::sqrt(sqn[i]) : 0.0;
     }
-    for_each_row(n, dim, [&](std::size_t i) {
-      cs(i, i) = sqn[i] > 0.0 ? 1.0 : 0.0;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double c =
-            static_cast<double>(gram[i * n + j]) * inv_norm[i] * inv_norm[j];
-        cs(i, j) = c;
-        cs(j, i) = c;
+    util::ThreadPool& pool = util::global_thread_pool();
+    pool.for_ranges(n, pool.fork_width(n * dim) > 1 ? n : 1,
+                    [&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        cs(i, i) = sqn[i] > 0.0 ? 1.0 : 0.0;
+        for (std::size_t j = i + 1; j < n; ++j) {
+          const double c =
+              static_cast<double>(gram[i * n + j]) * inv_norm[i] * inv_norm[j];
+          cs(i, j) = c;
+          cs(j, i) = c;
+        }
       }
     });
   } else {
@@ -176,17 +171,21 @@ void successive_krum_picks(const PairwiseMatrix& sq_dist,
   const std::size_t w = n - 1;
   std::vector<Neighbor> lists(n * w);
   std::vector<std::size_t> len(n, 0);
-  for_each_row(n, n, [&](std::size_t i) {
-    if (excluded[i]) return;
-    const double* row = sq_dist.row(i);
-    Neighbor* list = lists.data() + i * w;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || excluded[j]) continue;
-      list[len[i]++] = {row[j], static_cast<std::uint32_t>(j)};
+  util::ThreadPool& pool = util::global_thread_pool();
+  pool.for_ranges(n, pool.fork_width(n * n) > 1 ? n : 1,
+                  [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (excluded[i]) continue;
+      const double* row = sq_dist.row(i);
+      Neighbor* list = lists.data() + i * w;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i || excluded[j]) continue;
+        list[len[i]++] = {row[j], static_cast<std::uint32_t>(j)};
+      }
+      std::sort(list, list + len[i], [](const Neighbor& a, const Neighbor& b) {
+        return a.dist < b.dist || (a.dist == b.dist && a.index < b.index);
+      });
     }
-    std::sort(list, list + len[i], [](const Neighbor& a, const Neighbor& b) {
-      return a.dist < b.dist || (a.dist == b.dist && a.index < b.index);
-    });
   });
 
   std::size_t alive =

@@ -25,12 +25,6 @@ std::vector<double> fedavg_coefficients(
 void FedAvg::do_begin_stream(std::size_t dim,
                           std::span<const std::int64_t> weights) {
   ZKA_CHECK(!streaming_, "FedAvg: begin_stream during an open stream");
-  ZKA_CHECK(dim > 0, "FedAvg: empty update dimension");
-  ZKA_CHECK(!weights.empty(), "FedAvg: no weights for streaming round");
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "FedAvg: negative weight %lld",
-              static_cast<long long>(w));
-  }
   stream_coeffs_ = fedavg_coefficients(weights);
   stream_acc_.assign(dim, 0.0);
   stream_next_ = 0;
@@ -43,11 +37,9 @@ void FedAvg::do_stream_update(UpdateView update) {
   ZKA_CHECK(stream_next_ < stream_coeffs_.size(),
             "FedAvg: more updates streamed than weights announced (%zu)",
             stream_coeffs_.size());
-  ZKA_CHECK(update.size() == stream_acc_.size(),
-            "FedAvg: streamed update has %zu coordinates, expected %zu",
-            update.size(), stream_acc_.size());
-  // Finiteness is the ingress layer's job (defense/sanitize.h), applied by
-  // Aggregator::stream_update before this hook runs.
+  // Length and finiteness are checked by Aggregator::stream_update
+  // before this hook runs (finiteness by the ingress layer,
+  // defense/sanitize.h).
   tensor::axpy(stream_coeffs_[stream_next_], update,
                std::span<double>(stream_acc_));
   ++stream_next_;

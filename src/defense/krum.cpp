@@ -84,15 +84,9 @@ void MultiKrum::do_begin_stream(std::size_t dim,
   if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
   ZKA_CHECK(!streaming_, "%s: begin_stream during an open stream",
             name().c_str());
-  ZKA_CHECK(dim > 0, "%s: empty update dimension", name().c_str());
   const std::size_t n = weights.size();
-  ZKA_CHECK(n > 0, "%s: no weights for streaming round", name().c_str());
   ZKA_CHECK(n == 1 || f_ < n,
             "MultiKrum: assumed Byzantine count f=%zu must be < n=%zu", f_, n);
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "%s: negative weight %lld", name().c_str(),
-              static_cast<long long>(w));
-  }
   streaming_ = true;
   stream_dim_ = dim;
   stream_n_ = n;
@@ -120,9 +114,6 @@ void MultiKrum::do_stream_update(UpdateView update) {
   ZKA_CHECK(stream_next_ < stream_n_,
             "%s: more updates streamed than weights announced (%zu)",
             name().c_str(), stream_n_);
-  ZKA_CHECK(update.size() == stream_dim_,
-            "%s: streamed update has %zu coordinates, expected %zu",
-            name().c_str(), update.size(), stream_dim_);
   if (stream_buffered_) {
     stream_buffer_.emplace_back(update.begin(), update.end());
   } else {
@@ -164,9 +155,6 @@ void MultiKrum::do_stream_replay(std::size_t index, UpdateView update) {
   ZKA_CHECK(index == stream_plan_.replay[stream_replay_next_],
             "%s: replay %zu out of order, expected %zu", name().c_str(), index,
             stream_plan_.replay[stream_replay_next_]);
-  ZKA_CHECK(update.size() == stream_dim_,
-            "%s: replayed update has %zu coordinates, expected %zu",
-            name().c_str(), update.size(), stream_dim_);
   std::copy(update.begin(), update.end(),
             stream_replayed_.begin() +
                 static_cast<std::ptrdiff_t>(stream_replay_next_ * stream_dim_));

@@ -14,8 +14,9 @@
 //   * admit_weights — reported weights are self-declared dataset sizes; a
 //     sybil claiming INT64_MAX owns the weighted mean on its own. Weights
 //     above median * weight_cap_ratio are clamped to that cap. Negative
-//     weights are NOT repaired here: they are a protocol violation and
-//     stay for validate_updates to reject.
+//     weights are NOT repaired here: they are a protocol violation, which
+//     validate_updates (aggregate) and Aggregator::begin_stream (the
+//     stream) reject.
 //
 // Options::enabled = false switches the layer off bitwise: every admit_*
 // returns its input span untouched, reproducing the paper-faithful

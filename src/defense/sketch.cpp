@@ -24,15 +24,6 @@ std::size_t score_block_rows(std::size_t n) {
   return std::clamp<std::size_t>(target, 8, 256);
 }
 
-void run_chunks(std::size_t nchunks, bool parallel,
-                const std::function<void(std::size_t)>& body) {
-  if (parallel && nchunks > 1 && util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(nchunks, body);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) body(c);
-  }
-}
-
 }  // namespace
 
 std::vector<float> project_rows(const tensor::JlSketch& sketch,
@@ -42,20 +33,16 @@ std::vector<float> project_rows(const tensor::JlSketch& sketch,
   const std::size_t k = sketch.sketch_dim();
   const std::size_t dim = sketch.dim();
   std::vector<float> rows(n * k);
-  const bool parallel = tensor::kernel_parallelism_enabled() &&
-                        n * dim >= (std::size_t{1} << 18);
-  const std::size_t nchunks =
-      parallel ? std::min(n, util::global_thread_pool().size() * 4) : 1;
-  const std::size_t per = (n + nchunks - 1) / nchunks;
-  run_chunks(nchunks, parallel, [&](std::size_t c) {
-    std::vector<double> scratch(k);
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    for (std::size_t i = lo; i < hi; ++i) {
-      sketch.project(updates[i], scratch,
-                     std::span<float>(rows.data() + i * k, k));
-    }
-  });
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::size_t width = pool.fork_width(n * dim);
+  pool.for_ranges(n, width > 1 ? std::min(n, 4 * width) : 1,
+                  [&](std::size_t, std::size_t lo, std::size_t hi) {
+                    std::vector<double> scratch(k);
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      sketch.project(updates[i], scratch,
+                                     std::span<float>(rows.data() + i * k, k));
+                    }
+                  });
   return rows;
 }
 
@@ -77,18 +64,13 @@ std::vector<double> sketched_krum_scores(std::span<const float> rows,
 
   const std::size_t block = score_block_rows(n);
   const std::size_t nblocks = (n + block - 1) / block;
-  const bool parallel = tensor::kernel_parallelism_enabled() &&
-                        n * k >= (std::size_t{1} << 18);
-  const std::size_t nchunks =
-      parallel ? std::min(nblocks, util::global_thread_pool().size() * 2) : 1;
-  const std::size_t blocks_per = (nblocks + nchunks - 1) / nchunks;
-
-  run_chunks(nchunks, parallel, [&](std::size_t c) {
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::size_t width = pool.fork_width(n * k);
+  pool.for_ranges(nblocks, width > 1 ? std::min(nblocks, 2 * width) : 1,
+                  [&](std::size_t, std::size_t b_lo, std::size_t b_hi) {
     std::vector<float> gram(block * n);
     std::vector<double> dists;
     dists.reserve(n - 1);
-    const std::size_t b_lo = c * blocks_per;
-    const std::size_t b_hi = std::min(nblocks, b_lo + blocks_per);
     for (std::size_t b = b_lo; b < b_hi; ++b) {
       const std::size_t r0 = b * block;
       const std::size_t rcount = std::min(block, n - r0);

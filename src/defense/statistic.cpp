@@ -44,25 +44,12 @@ Update trimmed_mean_of(std::span<const UpdateView> rows, std::size_t trim) {
   return out;
 }
 
-void check_stream_update(const CoordTreeStream& tree, UpdateView update,
-                         const char* rule) {
+// Row length is Aggregator::stream_update's check; this is the tree's.
+void check_stream_update(const CoordTreeStream& tree, const char* rule) {
   ZKA_CHECK(tree.active(), "%s: stream_update without begin_stream", rule);
   ZKA_CHECK(tree.received() < tree.expected(),
             "%s: more updates streamed than weights announced (%zu)", rule,
             tree.expected());
-  ZKA_CHECK(update.size() == tree.dim(),
-            "%s: streamed update has %zu coordinates, expected %zu", rule,
-            update.size(), tree.dim());
-}
-
-void check_begin_stream(std::size_t dim, std::span<const std::int64_t> weights,
-                        const char* rule) {
-  ZKA_CHECK(dim > 0, "%s: empty update dimension", rule);
-  ZKA_CHECK(!weights.empty(), "%s: no weights for streaming round", rule);
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "%s: negative weight %lld", rule,
-              static_cast<long long>(w));
-  }
 }
 
 }  // namespace
@@ -75,11 +62,10 @@ std::size_t coord_tree_wave(std::size_t memory_budget_bytes, std::size_t dim,
   return std::clamp<std::size_t>(fit, 2, std::max<std::size_t>(n, 2));
 }
 
-void CoordTreeStream::begin(std::size_t dim, std::size_t n, std::size_t wave) {
+void CoordTreeStream::begin(std::size_t n, std::size_t wave) {
   ZKA_CHECK(!active_, "CoordTreeStream: begin during an open stream");
   ZKA_CHECK(wave >= 2, "CoordTreeStream: wave %zu must be at least 2", wave);
   active_ = true;
-  dim_ = dim;
   n_ = n;
   wave_ = wave;
   received_ = 0;
@@ -139,14 +125,13 @@ AggregationResult Median::do_aggregate(std::span<const UpdateView> updates,
 void Median::do_begin_stream(std::size_t dim,
                           std::span<const std::int64_t> weights) {
   if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
-  check_begin_stream(dim, weights, "Median");
-  tree_.begin(dim, weights.size(), coord_tree_wave(budget_, dim, weights.size()));
+  tree_.begin(weights.size(), coord_tree_wave(budget_, dim, weights.size()));
 }
 
 void Median::do_stream_update(UpdateView update) {
   if (!supports_streaming()) return Aggregator::do_stream_update(update);
   ZKA_PROF_SCOPE("aggregate/median_stream");
-  check_stream_update(tree_, update, "Median");
+  check_stream_update(tree_, "Median");
   tree_.add(Update(update.begin(), update.end()), median_of);
 }
 
@@ -174,18 +159,17 @@ AggregationResult TrimmedMean::do_aggregate(
 void TrimmedMean::do_begin_stream(std::size_t dim,
                                std::span<const std::int64_t> weights) {
   if (!supports_streaming()) return Aggregator::do_begin_stream(dim, weights);
-  check_begin_stream(dim, weights, "TrimmedMean");
   const std::size_t n = weights.size();
   ZKA_CHECK(n > 2 * trim_,
             "TrimmedMean: need more than 2*trim updates (n=%zu, trim=%zu)", n,
             trim_);
-  tree_.begin(dim, n, coord_tree_wave(budget_, dim, n));
+  tree_.begin(n, coord_tree_wave(budget_, dim, n));
 }
 
 void TrimmedMean::do_stream_update(UpdateView update) {
   if (!supports_streaming()) return Aggregator::do_stream_update(update);
   ZKA_PROF_SCOPE("aggregate/trmean_stream");
-  check_stream_update(tree_, update, "TrimmedMean");
+  check_stream_update(tree_, "TrimmedMean");
   tree_.add(Update(update.begin(), update.end()),
             [this](std::span<const UpdateView> rows) {
               return trimmed_mean_of(rows, trim_);

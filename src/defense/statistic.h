@@ -31,19 +31,17 @@ class CoordTreeStream {
  public:
   using Reduce = std::function<Update(std::span<const UpdateView>)>;
 
-  void begin(std::size_t dim, std::size_t n, std::size_t wave);
+  void begin(std::size_t n, std::size_t wave);
   void add(Update update, const Reduce& reduce);
   Update finish(const Reduce& reduce);
 
   bool active() const noexcept { return active_; }
   std::size_t expected() const noexcept { return n_; }
   std::size_t received() const noexcept { return received_; }
-  std::size_t dim() const noexcept { return dim_; }
   std::size_t wave() const noexcept { return wave_; }
 
  private:
   bool active_ = false;
-  std::size_t dim_ = 0;
   std::size_t n_ = 0;
   std::size_t wave_ = 0;
   std::size_t received_ = 0;

@@ -242,11 +242,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
               static_cast<std::uint64_t>(id);
           registry_->train(id, global, seed, replicas.mine(), wave_updates[k]);
         };
-        if (config_.parallel_clients) {
-          pool.parallel_for(wave_benign.size(), train_one);
-        } else {
-          for (std::size_t k = 0; k < wave_benign.size(); ++k) train_one(k);
-        }
+        pool.parallel_for(wave_benign.size(), train_one);
       }
       round_peak_bytes = std::max(
           round_peak_bytes,

@@ -16,7 +16,11 @@
 // Every round is one stream (defense/aggregator.h): train the first wave,
 // craft once, then begin_stream, stream_update wave by wave, replay,
 // finish_stream — in waves sized by `memory_budget_bytes` when the
-// defense folds, else as one wave of all K clients.
+// defense folds, else as one wave of all K clients. A wave's clients train
+// on the global thread pool, and the kernels inside each client run as one
+// range on its thread (ThreadPool::fork_width). Results do not depend on
+// the pool: run() called inside a one-index parallel_for of the global
+// pool trains every client serially and returns the same bits.
 #pragma once
 
 #include <cmath>
@@ -66,8 +70,6 @@ struct SimulationConfig {
   /// needs a root dataset, or a user-defined rule).
   std::function<std::unique_ptr<defense::Aggregator>()> custom_defense;
   std::uint64_t seed = 1;
-  /// Train the sampled benign clients of a round on the thread pool.
-  bool parallel_clients = true;
   /// Evaluate test accuracy every k rounds (1 = every round).
   std::int64_t eval_every = 1;
 

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,11 +16,9 @@ using detail::GemmLayout;
 using detail::kGemmMR;
 using detail::kGemmNC;
 
-std::atomic<bool> g_kernel_parallelism{true};
-
-// Work below this many flops (2*m*n*k) runs single-threaded: the fork/join
-// handshake costs more than the multiply.
-constexpr std::int64_t kMinParallelFlops = std::int64_t{1} << 22;
+// GEMM's fork point in flops (2*m*n*k): below it the fork/join handshake
+// costs more than the multiply.
+constexpr std::size_t kGemmForkFlops = std::size_t{1} << 22;
 
 struct Backend {
   detail::GemmRangesFn ranges;
@@ -53,7 +50,7 @@ const Backend& backend() {
 }
 
 // Shared driver: applies beta, then computes C = alpha*op(A)@op(B) + C,
-// chunked across the pool when the product is large enough. Chunks split C
+// split across the pool when the pool's fork rule says so. Ranges cut C
 // into disjoint row groups (multiples of the register-tile height) or
 // column groups (multiples of the cache-block width), so every partition
 // performs bitwise-identical tile computations — see ops.h.
@@ -82,45 +79,28 @@ void gemm_driver(GemmLayout layout, std::int64_t m, std::int64_t n,
   if (alpha == 0.0f || k <= 0) return;
 
   const detail::GemmRangesFn ranges = backend().ranges;
-  const std::int64_t flops = 2 * m * n * k;
-  std::int64_t nchunks = 1;
-  bool by_rows = true;
-  if (g_kernel_parallelism.load(std::memory_order_relaxed) &&
-      flops >= kMinParallelFlops) {
-    const std::int64_t row_units = (m + kGemmMR - 1) / kGemmMR;
-    const std::int64_t col_units = (n + kGemmNC - 1) / kGemmNC;
-    by_rows = row_units >= col_units;
-    const std::int64_t units = by_rows ? row_units : col_units;
-    const auto threads =
-        static_cast<std::int64_t>(util::global_thread_pool().size());
-    // 2 chunks per thread for load balance; the partition never changes
-    // results, only which thread computes which tiles. A single-worker pool
-    // gains nothing from forking (the caller would just contend with its
-    // one helper), so stay inline.
-    if (threads > 1) nchunks = std::min(units, threads * 2);
-  }
-  if (nchunks <= 1) {
-    ranges(layout, m, n, k, alpha, a, b, c, 0, m, 0, n);
-    return;
-  }
-  const std::int64_t units = by_rows ? (m + kGemmMR - 1) / kGemmMR
-                                     : (n + kGemmNC - 1) / kGemmNC;
+  const std::int64_t row_units = (m + kGemmMR - 1) / kGemmMR;
+  const std::int64_t col_units = (n + kGemmNC - 1) / kGemmNC;
+  const bool by_rows = row_units >= col_units;
+  const auto units = static_cast<std::size_t>(by_rows ? row_units : col_units);
   const std::int64_t unit = by_rows ? kGemmMR : kGemmNC;
   const std::int64_t extent = by_rows ? m : n;
-  util::global_thread_pool().parallel_for(
-      static_cast<std::size_t>(nchunks), [&](std::size_t t) {
-        const auto ti = static_cast<std::int64_t>(t);
-        const std::int64_t u0 = units * ti / nchunks;
-        const std::int64_t u1 = units * (ti + 1) / nchunks;
-        if (u0 == u1) return;
-        const std::int64_t lo = u0 * unit;
-        const std::int64_t hi = std::min(extent, u1 * unit);
-        if (by_rows) {
-          ranges(layout, m, n, k, alpha, a, b, c, lo, hi, 0, n);
-        } else {
-          ranges(layout, m, n, k, alpha, a, b, c, 0, m, lo, hi);
-        }
-      });
+  // 2 ranges per worker for load balance; the partition never changes
+  // results, only which thread computes which tiles.
+  util::ThreadPool& pool = util::global_thread_pool();
+  const std::size_t width =
+      pool.fork_width(static_cast<std::size_t>(2 * m * n * k), kGemmForkFlops);
+  pool.for_ranges(units, width > 1 ? std::min(units, 2 * width) : 1,
+                  [&](std::size_t, std::size_t u0, std::size_t u1) {
+                    const auto lo = static_cast<std::int64_t>(u0) * unit;
+                    const std::int64_t hi =
+                        std::min(extent, static_cast<std::int64_t>(u1) * unit);
+                    if (by_rows) {
+                      ranges(layout, m, n, k, alpha, a, b, c, lo, hi, 0, n);
+                    } else {
+                      ranges(layout, m, n, k, alpha, a, b, c, 0, m, lo, hi);
+                    }
+                  });
 }
 
 // Output-x range [x0, x1) for which ix = x*stride - pad + kx stays inside
@@ -230,23 +210,26 @@ void dcheck_geometry(const ConvGeometry& g, std::int64_t batch) noexcept {
              static_cast<long long>(g.out_w()), static_cast<long long>(batch));
 }
 
-// Samples are independent (disjoint column slabs / disjoint images), so a
-// parallel batch loop is deterministic. Only worth forking for real work.
-bool batch_parallel_worthwhile(const ConvGeometry& g, std::int64_t batch) {
-  return g_kernel_parallelism.load(std::memory_order_relaxed) && batch >= 4 &&
-         g.patch_size() * g.out_h() * g.out_w() * batch >= (1 << 18) &&
-         util::global_thread_pool().size() > 1;
+// Runs one(s) for every sample s. Samples are independent (disjoint column
+// slabs / disjoint images), so one task per sample is deterministic; a
+// small batch stays on the calling thread.
+template <typename F>
+void for_each_sample(const ConvGeometry& g, std::int64_t batch, F&& one) {
+  const auto samples = static_cast<std::size_t>(batch);
+  util::ThreadPool& pool = util::global_thread_pool();
+  const bool fork =
+      batch >= 4 &&
+      pool.fork_width(static_cast<std::size_t>(g.patch_size() * g.out_h() *
+                                               g.out_w() * batch)) > 1;
+  pool.for_ranges(samples, fork ? samples : 1,
+                  [&](std::size_t, std::size_t lo, std::size_t hi) {
+                    for (std::size_t s = lo; s < hi; ++s) {
+                      one(static_cast<std::int64_t>(s));
+                    }
+                  });
 }
 
 }  // namespace
-
-void set_kernel_parallelism(bool enabled) noexcept {
-  g_kernel_parallelism.store(enabled, std::memory_order_relaxed);
-}
-
-bool kernel_parallelism_enabled() noexcept {
-  return g_kernel_parallelism.load(std::memory_order_relaxed);
-}
 
 const char* gemm_backend_name() noexcept { return backend().name; }
 
@@ -271,18 +254,9 @@ void im2col_batched(const ConvGeometry& g, const float* images,
   const std::int64_t spatial = g.out_h() * g.out_w();
   const std::int64_t ld = batch * spatial;
   const std::int64_t image_size = g.in_channels * g.in_h * g.in_w;
-  auto one = [&](std::size_t s) {
-    const auto si = static_cast<std::int64_t>(s);
-    im2col_one(g, images + si * image_size, col, ld, si * spatial);
-  };
-  if (batch_parallel_worthwhile(g, batch)) {
-    util::global_thread_pool().parallel_for(static_cast<std::size_t>(batch),
-                                            one);
-  } else {
-    for (std::int64_t s = 0; s < batch; ++s) {
-      one(static_cast<std::size_t>(s));
-    }
-  }
+  for_each_sample(g, batch, [&](std::int64_t s) {
+    im2col_one(g, images + s * image_size, col, ld, s * spatial);
+  });
 }
 
 void col2im_batched(const ConvGeometry& g, const float* col,
@@ -291,18 +265,9 @@ void col2im_batched(const ConvGeometry& g, const float* col,
   const std::int64_t spatial = g.out_h() * g.out_w();
   const std::int64_t ld = batch * spatial;
   const std::int64_t image_size = g.in_channels * g.in_h * g.in_w;
-  auto one = [&](std::size_t s) {
-    const auto si = static_cast<std::int64_t>(s);
-    col2im_one(g, col, images + si * image_size, ld, si * spatial);
-  };
-  if (batch_parallel_worthwhile(g, batch)) {
-    util::global_thread_pool().parallel_for(static_cast<std::size_t>(batch),
-                                            one);
-  } else {
-    for (std::int64_t s = 0; s < batch; ++s) {
-      one(static_cast<std::size_t>(s));
-    }
-  }
+  for_each_sample(g, batch, [&](std::int64_t s) {
+    col2im_one(g, col, images + s * image_size, ld, s * spatial);
+  });
 }
 
 }  // namespace zka::tensor

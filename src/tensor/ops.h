@@ -23,10 +23,11 @@
 // ## Threading
 //
 // Large GEMMs are split over the process-wide util::global_thread_pool()
-// into disjoint row/column chunks aligned to the blocking scheme. Nested
-// use (e.g. kernels inside an already-parallel FL client loop) is safe: the
-// pool runs nested parallel_for bodies inline. set_kernel_parallelism(false)
-// forces every kernel single-threaded.
+// into disjoint row/column ranges aligned to the blocking scheme, when the
+// pool's fork rule (ThreadPool::fork_width) says so. A kernel nested in a
+// pool task (e.g. inside an FL client wave) runs as one range on its
+// thread, and so does every kernel called from inside a one-index
+// parallel_for: that is how a caller gets a serial run.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +36,6 @@
 #include "tensor/tensor.h"
 
 namespace zka::tensor {
-
-/// Enables/disables thread-pool parallelism inside the GEMM and batched
-/// im2col/col2im kernels (default: enabled). Thread count never changes
-/// results; this knob exists for benchmarking and for callers that manage
-/// parallelism at a coarser grain themselves.
-void set_kernel_parallelism(bool enabled) noexcept;
-bool kernel_parallelism_enabled() noexcept;
 
 /// Name of the GEMM backend selected for this CPU at startup:
 /// "avx512f", "avx2+fma", or "generic".

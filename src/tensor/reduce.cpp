@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -19,10 +18,6 @@ namespace {
 // never where its boundaries are — so partials always combine the same
 // way. A multiple of kReduceLanes keeps every block on the fast path.
 constexpr std::size_t kReduceBlock = 4096;
-
-// Work below this many accumulated elements runs inline: the fork/join
-// handshake costs more than the arithmetic.
-constexpr std::size_t kMinParallelElems = std::size_t{1} << 18;
 
 struct Backend {
   const detail::ReduceKernels* kernels;
@@ -51,24 +46,6 @@ Backend select_backend() {
 const Backend& backend() {
   static const Backend b = select_backend();
   return b;
-}
-
-// Fixed block grid over `extent` elements, run across the pool when the
-// total work is worth a fork (and parallelism is enabled).
-void for_each_block(std::size_t extent, std::size_t total_work,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t nblocks = (extent + kReduceBlock - 1) / kReduceBlock;
-  auto run = [&](std::size_t b) {
-    const std::size_t c0 = b * kReduceBlock;
-    body(c0, std::min(extent, c0 + kReduceBlock));
-  };
-  if (kernel_parallelism_enabled() && nblocks > 1 &&
-      total_work >= kMinParallelElems &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(nblocks, run);
-  } else {
-    for (std::size_t b = 0; b < nblocks; ++b) run(b);
-  }
 }
 
 }  // namespace
@@ -159,15 +136,25 @@ void weighted_sum(std::span<const std::span<const float>> rows,
   ZKA_PROF_COUNT("reduce/weighted_sum/elems", n * dim);
   ZKA_PROF_COUNT(backend().tier_counter, 1);
   const detail::ReduceKernels& k = *backend().kernels;
-  for_each_block(dim, n * dim, [&](std::size_t c0, std::size_t c1) {
-    double* dst = out.data() + c0;
-    std::memset(dst, 0, (c1 - c0) * sizeof(double));
-    for (std::size_t r = 0; r < n; ++r) {
-      ZKA_DCHECK(rows[r].size() == dim, "weighted_sum: row %zu has %zu of %zu",
-                 r, rows[r].size(), dim);
-      k.axpy_fd(coeffs[r], rows[r].data() + c0, dst, c1 - c0);
-    }
-  });
+  // One task per block of the fixed grid.
+  const std::size_t nblocks = (dim + kReduceBlock - 1) / kReduceBlock;
+  util::ThreadPool& pool = util::global_thread_pool();
+  pool.for_ranges(
+      nblocks, pool.fork_width(n * dim) > 1 ? nblocks : 1,
+      [&](std::size_t, std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+          const std::size_t c0 = b * kReduceBlock;
+          const std::size_t c1 = std::min(dim, c0 + kReduceBlock);
+          double* dst = out.data() + c0;
+          std::memset(dst, 0, (c1 - c0) * sizeof(double));
+          for (std::size_t r = 0; r < n; ++r) {
+            ZKA_DCHECK(rows[r].size() == dim,
+                       "weighted_sum: row %zu has %zu of %zu", r,
+                       rows[r].size(), dim);
+            k.axpy_fd(coeffs[r], rows[r].data() + c0, dst, c1 - c0);
+          }
+        }
+      });
 }
 
 void gram_matrix(std::span<const std::span<const float>> rows,
@@ -188,18 +175,18 @@ void gram_matrix(std::span<const std::span<const float>> rows,
   // (disjoint writes, fixed per-row order).
   std::vector<float> packed(n * d);
   const detail::ReduceKernels& k = *backend().kernels;
-  auto pack_row = [&](std::size_t i) {
-    ZKA_DCHECK(rows[i].size() == d, "gram_matrix: row %zu has %zu of %zu", i,
-               rows[i].size(), d);
-    std::memcpy(packed.data() + i * d, rows[i].data(), d * sizeof(float));
-    sqnorms[i] = k.sqnorm_f(rows[i].data(), d);
-  };
-  if (kernel_parallelism_enabled() && n > 1 && n * d >= kMinParallelElems &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(n, pack_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) pack_row(i);
-  }
+  util::ThreadPool& pool = util::global_thread_pool();
+  pool.for_ranges(n, pool.fork_width(n * d) > 1 ? n : 1,
+                  [&](std::size_t, std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      ZKA_DCHECK(rows[i].size() == d,
+                                 "gram_matrix: row %zu has %zu of %zu", i,
+                                 rows[i].size(), d);
+                      std::memcpy(packed.data() + i * d, rows[i].data(),
+                                  d * sizeof(float));
+                      sqnorms[i] = k.sqnorm_f(rows[i].data(), d);
+                    }
+                  });
 
   gemm_a_bt(static_cast<std::int64_t>(n), static_cast<std::int64_t>(n),
             static_cast<std::int64_t>(d), 1.0f, packed.data(), packed.data(),

@@ -29,8 +29,9 @@
 // Single-vector reductions run on the calling thread: the defense layer
 // parallelizes at row/coordinate-block granularity where splits stay
 // deterministic for free. The helpers that do fork (weighted_sum,
-// gram_matrix via the GEMM) honor set_kernel_parallelism and split along
-// fixed block boundaries, so any ZKA_THREADS yields bitwise-equal output.
+// gram_matrix via the GEMM) fork by the pool's rule (ThreadPool::
+// fork_width) and split along fixed block boundaries, so any ZKA_THREADS
+// yields bitwise-equal output.
 #pragma once
 
 #include <cstddef>

@@ -77,13 +77,35 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::inside() const noexcept {
+  return t_worker_of == this || calling(this);
+}
+
+std::size_t ThreadPool::fork_width(std::size_t work,
+                                   std::size_t fork_point) const noexcept {
+  return work >= fork_point && size() > 1 && !inside() ? size() : 1;
+}
+
+void ThreadPool::for_ranges(std::size_t units, std::size_t ranges,
+                            RangeFn body) {
+  if (ranges <= 1) {
+    if (units > 0) body(0, 0, units);
+    return;
+  }
+  parallel_for(ranges, [&](std::size_t r) {
+    const std::size_t lo = units * r / ranges;
+    const std::size_t hi = units * (r + 1) / ranges;
+    if (lo < hi) body(r, lo, hi);
+  });
+}
+
 std::size_t ThreadPool::participant_index() const noexcept {
   return t_worker_of == this ? t_worker_index : 0;
 }
 
 void ThreadPool::parallel_for(std::size_t n, IndexFn body) {
   if (n == 0) return;
-  if (t_worker_of == this || calling(this)) {
+  if (inside()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "defense/bulyan.h"
 #include "defense/distance.h"
@@ -50,6 +52,36 @@ TEST(Validation, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(agg.aggregate({{1.0f}}, {-1}), std::invalid_argument);
   EXPECT_THROW(agg.aggregate({{}}, {1}), std::invalid_argument);
+}
+
+TEST(Validation, StreamRejectsBadShapeBeforeTheRule) {
+  // begin_stream rejects what validate_updates rejects for aggregate(),
+  // and stream_update rejects a row of another length than begin_stream's
+  // dim, for folding and buffering rules alike.
+  const std::vector<std::pair<const char*, AggregatorOptions>> rules{
+      {"fedavg", {.num_byzantine = 1}},
+      {"median", {.num_byzantine = 1, .memory_budget_bytes = 1 << 20}},
+      {"mkrum", {.num_byzantine = 1, .sketch_dim = 2}},
+      {"bulyan", {.num_byzantine = 1}},
+  };
+  const std::vector<std::int64_t> weights(7, 1);
+  const std::vector<std::int64_t> negative{1, 1, -1, 1, 1, 1, 1};
+  const std::vector<std::int64_t> none;
+  const Update row{1.0f, 2.0f, 3.0f, 4.0f};
+  const Update short_row{1.0f, 2.0f, 3.0f};
+  for (const auto& [name, options] : rules) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(make_aggregator(name, options)->begin_stream(4, negative),
+                 std::invalid_argument);
+    EXPECT_THROW(make_aggregator(name, options)->begin_stream(4, none),
+                 std::invalid_argument);
+    EXPECT_THROW(make_aggregator(name, options)->begin_stream(0, weights),
+                 std::invalid_argument);
+    const auto agg = make_aggregator(name, options);
+    agg->begin_stream(4, weights);
+    agg->stream_update(row);
+    EXPECT_THROW(agg->stream_update(short_row), std::invalid_argument);
+  }
 }
 
 TEST(FedAvgRule, WeightedMean) {

@@ -4,9 +4,10 @@
 // the coordinate-block transpose) split work along fixed block grids, so
 // the aggregate must be bitwise identical no matter how many workers the
 // pool has. Two enforcement layers:
-//   1. In-process: each aggregator runs with kernel parallelism enabled
-//      and again with it forced off (pure serial reference); models must
-//      be bitwise equal and selections identical.
+//   1. In-process: each aggregator runs on the pool and again inside
+//      test::serially (pure serial reference: every kernel runs as one
+//      range on the calling thread); models must be bitwise equal and
+//      selections identical.
 //   2. Cross-process: CMake registers this binary three times with
 //      ZKA_THREADS = 1, 4 and 8 (the pool reads the variable once at
 //      startup), so layer 1's "parallel" leg itself runs under three
@@ -26,7 +27,7 @@
 #include "defense/aggregator.h"
 #include "defense/distance.h"
 #include "defense/sketch.h"
-#include "tensor/ops.h"
+#include "serially.h"
 #include "util/rng.h"
 
 namespace zka::defense {
@@ -64,14 +65,12 @@ TEST_P(DeterminismTest, ParallelMatchesSerialBitwise) {
 
   // Fresh aggregator per mode: stateful rules (CenteredClip's center, DnC's
   // RNG stream) must see identical histories in both legs.
-  tensor::set_kernel_parallelism(true);
   const auto parallel_agg = make_aggregator(GetParam(), {.num_byzantine = 2});
   const AggregationResult parallel = parallel_agg->aggregate(updates, weights);
 
-  tensor::set_kernel_parallelism(false);
   const auto serial_agg = make_aggregator(GetParam(), {.num_byzantine = 2});
-  const AggregationResult serial = serial_agg->aggregate(updates, weights);
-  tensor::set_kernel_parallelism(true);
+  const AggregationResult serial =
+      test::serially([&] { return serial_agg->aggregate(updates, weights); });
 
   EXPECT_EQ(parallel.selected, serial.selected);
   ASSERT_EQ(parallel.model.size(), serial.model.size());
@@ -103,13 +102,11 @@ TEST(SketchedDeterminism, SketchedMkrumParallelMatchesSerialBitwise) {
   options.num_byzantine = 2;
   options.sketch_dim = 256;
 
-  tensor::set_kernel_parallelism(true);
   const AggregationResult parallel =
       make_aggregator("mkrum", options)->aggregate(updates, weights);
-  tensor::set_kernel_parallelism(false);
-  const AggregationResult serial =
-      make_aggregator("mkrum", options)->aggregate(updates, weights);
-  tensor::set_kernel_parallelism(true);
+  const AggregationResult serial = test::serially([&] {
+    return make_aggregator("mkrum", options)->aggregate(updates, weights);
+  });
 
   EXPECT_EQ(parallel.selected, serial.selected);
   ASSERT_EQ(parallel.model.size(), serial.model.size());
@@ -141,11 +138,8 @@ TEST_P(TreeStreamDeterminismTest, StreamingParallelMatchesSerialBitwise) {
     return agg->finish_stream();
   };
 
-  tensor::set_kernel_parallelism(true);
   const AggregationResult parallel = stream_round();
-  tensor::set_kernel_parallelism(false);
-  const AggregationResult serial = stream_round();
-  tensor::set_kernel_parallelism(true);
+  const AggregationResult serial = test::serially(stream_round);
 
   ASSERT_EQ(parallel.model.size(), serial.model.size());
   for (std::size_t i = 0; i < parallel.model.size(); ++i) {

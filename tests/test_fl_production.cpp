@@ -16,6 +16,7 @@
 #include "fl/registry.h"
 #include "fl/simulation.h"
 #include "nn/module.h"
+#include "serially.h"
 #include "util/rng.h"
 
 namespace zka::fl {
@@ -90,12 +91,11 @@ TEST(ProductionSimulation, RunsAndLearnsAtSmallScale) {
 }
 
 TEST(ProductionSimulation, ParallelAndSerialBitwiseEqual) {
-  SimulationConfig config = production_config();
-  config.parallel_clients = true;
+  const SimulationConfig config = production_config();
   Simulation par(config);
-  config.parallel_clients = false;
   Simulation ser(config);
-  expect_same_result(par.run(nullptr), ser.run(nullptr));
+  expect_same_result(par.run(nullptr),
+                     test::serially([&] { return ser.run(nullptr); }));
 }
 
 TEST(ProductionSimulation, StreamingBitwiseEqualsBufferedAndBoundsMemory) {

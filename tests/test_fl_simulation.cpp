@@ -17,6 +17,7 @@
 #include "defense/fltrust.h"
 #include "fl/metrics.h"
 #include "nn/module.h"
+#include "serially.h"
 
 namespace zka::fl {
 namespace {
@@ -67,13 +68,12 @@ TEST(Simulation, DifferentSeedsDiffer) {
 }
 
 TEST(Simulation, SerialAndParallelClientsAgree) {
-  SimulationConfig config = tiny_config();
-  config.parallel_clients = true;
+  const SimulationConfig config = tiny_config();
   Simulation par(config);
-  config.parallel_clients = false;
   Simulation ser(config);
   EXPECT_DOUBLE_EQ(par.run(nullptr).final_accuracy,
-                   ser.run(nullptr).final_accuracy);
+                   test::serially([&] { return ser.run(nullptr); })
+                       .final_accuracy);
 }
 
 TEST(Simulation, SelectionBookkeepingConsistent) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "serially.h"
 #include "util/rng.h"
 
 namespace zka::tensor {
@@ -199,9 +200,10 @@ TEST(GemmBlocked, BackendNameIsReported) {
 }
 
 TEST(GemmBlocked, BitwiseIdenticalWithAndWithoutKernelParallelism) {
-  // Large enough to cross the flop threshold and split into several chunks
-  // (the pool is forced to 4 workers above). The unified accumulation
-  // policy guarantees bitwise-equal output for every partition.
+  // Large enough to cross the flop threshold and split into several ranges
+  // on a multi-worker pool; the serial leg runs as one range. The unified
+  // accumulation policy guarantees bitwise-equal output for every
+  // partition.
   const std::int64_t m = 193, n = 517, k = 301;
   const auto a = random_vec(m * k, 900);
   const auto b = random_vec(k * n, 901);
@@ -209,12 +211,10 @@ TEST(GemmBlocked, BitwiseIdenticalWithAndWithoutKernelParallelism) {
   std::vector<float> c_seq(c_par.size());
   std::vector<float> c_par2(c_par.size());
 
-  ASSERT_TRUE(kernel_parallelism_enabled());
   gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_par.data());
   gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_par2.data());
-  set_kernel_parallelism(false);
-  gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_seq.data());
-  set_kernel_parallelism(true);
+  test::serially(
+      [&] { gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_seq.data()); });
 
   EXPECT_EQ(std::memcmp(c_par.data(), c_par2.data(),
                         c_par.size() * sizeof(float)),
@@ -235,9 +235,8 @@ TEST(GemmBlocked, SkinnyMatricesChunkColumnsDeterministically) {
   std::vector<float> c_par(static_cast<std::size_t>(m * n));
   std::vector<float> c_seq(c_par.size());
   gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_par.data());
-  set_kernel_parallelism(false);
-  gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_seq.data());
-  set_kernel_parallelism(true);
+  test::serially(
+      [&] { gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_seq.data()); });
   EXPECT_EQ(std::memcmp(c_par.data(), c_seq.data(),
                         c_par.size() * sizeof(float)),
             0);

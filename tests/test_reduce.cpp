@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "serially.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -130,7 +131,7 @@ TEST(Reduce, WeightedSumMatchesReference) {
 
 TEST(Reduce, WeightedSumIsThreadCountInvariant) {
   // The parallel split must not change the result: compare pool execution
-  // against the forced-serial path bit for bit.
+  // against a serial run bit for bit.
   const std::size_t n = 12;
   const std::size_t dim = 50000;  // over the parallel threshold
   std::vector<std::vector<float>> rows;
@@ -143,10 +144,8 @@ TEST(Reduce, WeightedSumIsThreadCountInvariant) {
   for (const auto& r : rows) views.emplace_back(r);
   std::vector<double> parallel_out(dim);
   weighted_sum(views, coeffs, parallel_out);
-  set_kernel_parallelism(false);
   std::vector<double> serial_out(dim);
-  weighted_sum(views, coeffs, serial_out);
-  set_kernel_parallelism(true);
+  test::serially([&] { weighted_sum(views, coeffs, serial_out); });
   EXPECT_EQ(parallel_out, serial_out);
 }
 

@@ -191,6 +191,82 @@ TEST(ThreadPool, NestedParallelForSeesOuterIndex) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST(ThreadPool, ForkWidthIsTheOneForkRule) {
+  constexpr std::size_t kPoint = 1000;
+  ThreadPool single(1);
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.fork_width(kPoint, kPoint), pool.size());
+  EXPECT_EQ(pool.fork_width(kPoint * 50, kPoint), pool.size());
+  EXPECT_EQ(pool.fork_width(kPoint - 1, kPoint), 1u);  // below the point
+  EXPECT_EQ(pool.fork_width(kForkElems), pool.size());  // default point
+  EXPECT_EQ(pool.fork_width(kForkElems - 1), 1u);
+  EXPECT_EQ(single.fork_width(kPoint, kPoint), 1u);  // one worker
+  // A caller inside its own parallel_for, alone or next to a worker.
+  std::atomic<std::size_t> caller_width{99};
+  pool.parallel_for(1, [&](std::size_t) {
+    caller_width.store(pool.fork_width(kPoint, kPoint));
+  });
+  EXPECT_EQ(caller_width.load(), 1u);
+  std::atomic<std::size_t> widths[2] = {99, 99};
+  std::atomic<std::size_t> on_worker{0};
+  run_two_at_once(pool, [&](std::size_t i) {
+    if (pool.participant_index() != 0) on_worker.fetch_add(1);
+    widths[i].store(pool.fork_width(kPoint, kPoint));
+  });
+  EXPECT_EQ(on_worker.load(), 1u);
+  EXPECT_EQ(widths[0].load(), 1u);
+  EXPECT_EQ(widths[1].load(), 1u);
+  // Inside another pool's work this pool still forks.
+  std::atomic<std::size_t> other_width{99};
+  single.parallel_for(1, [&](std::size_t) {
+    other_width.store(pool.fork_width(kPoint, kPoint));
+  });
+  EXPECT_EQ(other_width.load(), pool.size());
+  EXPECT_EQ(pool.fork_width(kPoint, kPoint), pool.size());  // after leaving
+}
+
+TEST(ThreadPool, ForRangesCoversEveryUnitOnceInAscendingRanges) {
+  ThreadPool single(1);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {&single, &pool}) {
+    for (const std::size_t units : {0u, 1u, 7u, 64u}) {
+      for (std::size_t ranges = 1; ranges <= 9; ++ranges) {
+        std::vector<std::atomic<int>> hits(units);
+        // Each range index records its [lo, hi) once.
+        std::vector<std::atomic<std::size_t>> lo_of(ranges);
+        std::vector<std::atomic<std::size_t>> hi_of(ranges);
+        std::vector<std::atomic<int>> calls(ranges);
+        p->for_ranges(units, ranges,
+                      [&](std::size_t r, std::size_t lo, std::size_t hi) {
+                        ASSERT_LT(r, ranges);
+                        ASSERT_LT(lo, hi);
+                        ASSERT_LE(hi, units);
+                        calls[r].fetch_add(1);
+                        lo_of[r].store(lo);
+                        hi_of[r].store(hi);
+                        for (std::size_t u = lo; u < hi; ++u) {
+                          hits[u].fetch_add(1);
+                        }
+                      });
+        for (std::size_t u = 0; u < units; ++u) {
+          EXPECT_EQ(hits[u].load(), 1)
+              << "unit " << u << " of " << units << ", " << ranges
+              << " ranges";
+        }
+        // Non-empty ranges ascend with their index and tile [0, units).
+        std::size_t next = 0;
+        for (std::size_t r = 0; r < ranges; ++r) {
+          EXPECT_LE(calls[r].load(), 1);
+          if (calls[r].load() == 0) continue;
+          EXPECT_EQ(lo_of[r].load(), next) << units << " units, range " << r;
+          next = hi_of[r].load();
+        }
+        EXPECT_EQ(next, units) << ranges << " ranges";
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, ParallelForComputesCorrectSum) {
   ThreadPool pool(4);
   std::vector<long> out(1000);

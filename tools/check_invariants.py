@@ -41,12 +41,19 @@ and that code review keeps re-litigating:
                            implementation-defined, so a result that walks
                            one is not reproducible across standard
                            libraries. Membership-only uses opt out.
-  R8 orphan-header         Every src/ header is #included by some file in
+  R8 kernel-fork           Kernels under src/tensor/ and src/defense/
+                           fork only through the pool's one fork rule
+                           (ThreadPool::fork_width + for_ranges): a raw
+                           parallel_for( or global_thread_pool().size()
+                           there would re-decide when to split, and
+                           would cut a nested kernel into ranges that
+                           only run one after another.
+  R9 orphan-header         Every src/ header is #included by some file in
                            src/, bench/ or examples/ besides its own .cpp.
                            Code whose only caller is its own test is dead
                            weight; delete it rather than carry it.
 
-A line can opt out with a trailing or preceding comment (R8, a per-file
+A line can opt out with a trailing or preceding comment (R9, a per-file
 rule, takes the comment anywhere in the header):
 
     // zka-lint: allow(rule-name) -- justification
@@ -189,6 +196,13 @@ RULES = [
         includes=(r"^src/defense/.*\.cpp$",),
     ),
     Rule(
+        "kernel-fork",
+        r"\bparallel_for\s*\(|global_thread_pool\(\)\s*\.\s*size\s*\(",
+        "kernels fork only through ThreadPool::fork_width and for_ranges, "
+        "the pool's one rule for when and how a kernel splits",
+        includes=(r"^src/tensor/", r"^src/defense/"),
+    ),
+    Rule(
         "unordered-container",
         r"std::unordered_(?:multi)?(?:map|set)\b",
         "unordered containers iterate in an implementation-defined order; "
@@ -204,7 +218,7 @@ INCLUDER_ROOTS = ["src", "bench", "examples"]
 
 
 def lint_orphan_headers() -> tuple[list[str], set[tuple[str, int, str]]]:
-    """R8: src/ headers nothing but their own .cpp includes.
+    """R9: src/ headers nothing but their own .cpp includes.
 
     Returns the findings and the escapes that suppressed one.
     """
