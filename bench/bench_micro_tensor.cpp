@@ -1,7 +1,7 @@
 // Micro-benchmarks of the tensor kernels, including the DESIGN.md ablation
-// of im2col+GEMM convolution vs a naive 7-loop implementation, a per-layer
-// probe of the Cifar CNN and the eval batch sweep
-// (results/perf_breakdown.md).
+// of im2col+GEMM convolution vs a naive 7-loop implementation, per-layer
+// probes of a Cifar CNN training step and a ZKA-G generator epoch, and the
+// eval batch sweep (results/perf_breakdown.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -13,6 +13,8 @@
 #include "fl/metrics.h"
 #include "models/models.h"
 #include "nn/conv2d.h"
+#include "nn/loss.h"
+#include "nn/sgd.h"
 #include "tensor/ops.h"
 #include "util/prof.h"
 #include "util/rng.h"
@@ -183,50 +185,112 @@ void BM_ConvBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackward);
 
-// Per-layer probe of the Cifar CNN at batch 64: full training steps
-// (forward through every layer, backward through every layer), with each
+// Per-layer wall times of one Sequential, summed over the iterations that
+// run its forward and backward through this.
+class LayerTimes {
+ public:
+  explicit LayerTimes(nn::Sequential& net)
+      : net_(net), fwd_ms_(net.size(), 0.0), bwd_ms_(net.size(), 0.0) {}
+
+  const Tensor& forward(const Tensor& x) {
+    const Tensor* a = &x;
+    for (std::size_t i = 0; i < net_.size(); ++i) {
+      const std::uint64_t t0 = util::prof::now_ns();
+      a = &net_.layer(i).forward(*a);
+      fwd_ms_[i] += ms_since(t0);
+    }
+    return *a;
+  }
+
+  const Tensor& backward(const Tensor& g) {
+    const Tensor* d = &g;
+    for (std::size_t i = net_.size(); i-- > 0;) {
+      const std::uint64_t t0 = util::prof::now_ns();
+      d = &net_.layer(i).backward(*d);
+      bwd_ms_[i] += ms_since(t0);
+    }
+    return *d;
+  }
+
+  /// Counters <prefix>fwd<i>_<layer> and <prefix>bwd<i>_<layer>, in ms per
+  /// iteration.
+  void report(benchmark::State& state, const std::string& prefix) const {
+    for (std::size_t i = 0; i < net_.size(); ++i) {
+      char layer[48];
+      std::snprintf(layer, sizeof layer, "%02zu_%s", i,
+                    net_.layer(i).name().c_str());
+      state.counters[prefix + "fwd" + layer] =
+          benchmark::Counter(fwd_ms_[i], benchmark::Counter::kAvgIterations);
+      state.counters[prefix + "bwd" + layer] =
+          benchmark::Counter(bwd_ms_[i], benchmark::Counter::kAvgIterations);
+    }
+  }
+
+ private:
+  static double ms_since(std::uint64_t t0) {
+    return static_cast<double>(util::prof::now_ns() - t0) * 1e-6;
+  }
+
+  nn::Sequential& net_;
+  std::vector<double> fwd_ms_;
+  std::vector<double> bwd_ms_;
+};
+
+// Per-layer probe of the Cifar CNN: full training steps (forward through
+// every layer, backward through every layer) at batch range(0), with each
 // layer's call timed inside the step, so the allocator sees the same
-// pattern as in client training. Counters are ms per step, named
+// pattern as in client training. Batch 16 is ZKA step 2 on cifar-zkar
+// (|S| = 16), batch 64 the eval batch. Counters are ms per step, named
 // fwd<i>_<layer> and bwd<i>_<layer>.
 void BM_CifarStepByLayer(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
   util::Rng rng(7);
   const auto net = models::make_cifar_cnn(rng);
   const auto spec = models::cifar_spec();
   const Tensor x = Tensor::uniform(
-      {64, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
-  const Tensor g = Tensor::uniform({64, spec.num_classes}, rng, -0.01f, 0.01f);
-  const std::size_t n = net->size();
-  std::vector<double> fwd_ms(n, 0.0);
-  std::vector<double> bwd_ms(n, 0.0);
-  const auto ms_since = [](std::uint64_t t0) {
-    return static_cast<double>(util::prof::now_ns() - t0) * 1e-6;
-  };
+      {batch, spec.channels, spec.height, spec.width}, rng, -1.0f, 1.0f);
+  const Tensor g =
+      Tensor::uniform({batch, spec.num_classes}, rng, -0.01f, 0.01f);
+  LayerTimes times(*net);
   for (auto _ : state) {
-    const Tensor* a = &x;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t t0 = util::prof::now_ns();
-      a = &net->layer(i).forward(*a);
-      fwd_ms[i] += ms_since(t0);
-    }
-    const Tensor* d = &g;
-    for (std::size_t i = n; i-- > 0;) {
-      const std::uint64_t t0 = util::prof::now_ns();
-      d = &net->layer(i).backward(*d);
-      bwd_ms[i] += ms_since(t0);
-    }
-    benchmark::DoNotOptimize(d->raw());
+    times.forward(x);
+    benchmark::DoNotOptimize(times.backward(g).raw());
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    char layer[48];
-    std::snprintf(layer, sizeof layer, "%02zu_%s", i,
-                  net->layer(i).name().c_str());
-    state.counters[std::string("fwd") + layer] =
-        benchmark::Counter(fwd_ms[i], benchmark::Counter::kAvgIterations);
-    state.counters[std::string("bwd") + layer] =
-        benchmark::Counter(bwd_ms[i], benchmark::Counter::kAvgIterations);
-  }
+  times.report(state, "");
 }
-BENCHMARK(BM_CifarStepByLayer)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CifarStepByLayer)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+// Per-layer probe of one ZKA-G generator epoch on Fashion, as
+// ZkaGAttack::synthesize runs it at |S| = 24: G(Z), the frozen classifier,
+// the ascent loss, backward through the classifier into the generator, the
+// generator's step. Counters gen<fwd|bwd><i>_<layer> and
+// cls<fwd|bwd><i>_<layer>, in ms per epoch.
+void BM_GeneratorEpochByLayer(benchmark::State& state) {
+  const auto spec = models::fashion_spec();
+  util::Rng rng(8);
+  auto classifier = models::make_fashion_cnn(rng);
+  classifier->freeze();
+  auto generator = models::make_tcnn_generator(spec, 64, rng);
+  nn::Sgd optimizer(*generator, 0.01f);
+  nn::SoftmaxCrossEntropy loss(-1.0f);
+  const Tensor latent = Tensor::normal({24, 64}, rng);
+  const std::vector<std::int64_t> decoy(24, 3);
+  LayerTimes gen_times(*generator);
+  LayerTimes cls_times(*classifier);
+  for (auto _ : state) {
+    optimizer.zero_grad();
+    loss.forward(cls_times.forward(gen_times.forward(latent)), decoy);
+    benchmark::DoNotOptimize(
+        gen_times.backward(cls_times.backward(loss.backward())).raw());
+    optimizer.step();
+  }
+  gen_times.report(state, "gen");
+  cls_times.report(state, "cls");
+}
+BENCHMARK(BM_GeneratorEpochByLayer)->Unit(benchmark::kMillisecond);
 
 // Test-set evaluation as Simulation::run does it each round, at the test
 // sizes of bench/e2e's cifar-zkar (250) and fashion-zkag (300) workloads.

@@ -24,6 +24,16 @@ ZkaRAttack::ZkaRAttack(models::Task task, ZkaOptions options,
     : ZkaAttack(task, options, seed, "zka_r/craft",
                 "zka_r/classifier_train") {}
 
+// The filter's initial draws come from a throwaway stream: every sample
+// re-draws it from its own before use.
+ZkaRAttack::FilterSlot::FilterSlot(const models::ImageSpec& spec,
+                                   const ZkaOptions& options)
+    : filter([&] {
+        util::Rng unused(0);
+        return models::make_filter_layer(spec, options.filter_kernel, unused);
+      }()),
+      optimizer(*filter, options.synthesis_lr) {}
+
 const tensor::Tensor& ZkaRAttack::synthesize(data::ReplicaSet& replicas,
                                              std::span<const float> global) {
   ZKA_CHECK(options_.synthetic_size > 0 && options_.synthesis_epochs >= 0,
@@ -46,8 +56,8 @@ const tensor::Tensor& ZkaRAttack::synthesize(data::ReplicaSet& replicas,
   filter_rngs_.resize(static_cast<std::size_t>(s_count));
   for (std::int64_t s = 0; s < s_count; ++s) {
     const auto i = static_cast<std::size_t>(s);
-    sources_[i] = tensor::Tensor::uniform(
-        {1, spec_.channels, spec_.height, spec_.width}, rng_, -1.0f, 1.0f);
+    sources_[i].resize({1, spec_.channels, spec_.height, spec_.width});
+    sources_[i].fill_uniform(rng_, -1.0f, 1.0f);
     filter_rngs_[i] = rng_.split(0xf117 + static_cast<std::uint64_t>(s));
   }
 
@@ -57,23 +67,25 @@ const tensor::Tensor& ZkaRAttack::synthesize(data::ReplicaSet& replicas,
   replicas.load(global);
   sample_losses_.resize(static_cast<std::size_t>(s_count * epochs));
   util::ThreadPool& pool = util::global_thread_pool();
+  while (filter_slots_.size() <= pool.size()) {
+    filter_slots_.emplace_back(spec_, options_);
+  }
   const std::int64_t plane = spec_.pixels();
   pool.parallel_for(static_cast<std::size_t>(s_count), [&](std::size_t i) {
     ZKA_PROF_SCOPE("zka_r/synthesize_sample");
     nn::Sequential& classifier = *replicas.mine().model;
     const nn::FreezeScope frozen(classifier);
-    auto filter = models::make_filter_layer(spec_, options_.filter_kernel,
-                                            filter_rngs_[i]);
-    nn::Sgd optimizer(*filter, options_.synthesis_lr);
-    nn::SoftmaxCrossEntropy loss;
+    FilterSlot& slot = filter_slots_[pool.participant_index()];
+    nn::Sequential& filter = *slot.filter;
+    models::redraw_filter_layer(filter, filter_rngs_[i]);
     const tensor::Tensor& a = sources_[i];
     double* losses =
         sample_losses_.data() + i * static_cast<std::size_t>(epochs);
     for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
-      losses[epoch] =
-          synthesis_epoch(*filter, optimizer, classifier, loss, a, ambiguous);
+      losses[epoch] = synthesis_epoch(filter, slot.optimizer, classifier,
+                                      slot.loss, a, ambiguous);
     }
-    const tensor::Tensor& b = filter->forward(a);
+    const tensor::Tensor& b = filter.forward(a);
     std::copy(b.data().begin(), b.data().end(),
               images_.data().begin() + static_cast<std::int64_t>(i) * plane);
   });

@@ -9,6 +9,7 @@
 // malicious classifier with the distance-regularized loss.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/zka_attack.h"
@@ -39,10 +40,21 @@ class ZkaRAttack : public ZkaAttack {
  private:
   /// Draws every sample's random image A and filter stream from rng_ in
   /// sample order, trains the |S| filters on the pool (each sample on its
-  /// participant's replica) and sums the per-epoch losses in sample order,
-  /// so the result does not depend on the pool size.
+  /// participant's replica and filter slot, the filter re-drawn from the
+  /// sample's stream) and sums the per-epoch losses in sample order, so the
+  /// result does not depend on the pool size. A warm craft allocates
+  /// nothing per sample.
   const tensor::Tensor& synthesize(data::ReplicaSet& replicas,
                                    std::span<const float> global) override;
+
+  // One pool participant's filter, its optimizer and its loss, kept across
+  // samples and crafts; each sample re-draws the filter from its stream.
+  struct FilterSlot {
+    FilterSlot(const models::ImageSpec& spec, const ZkaOptions& options);
+    std::unique_ptr<nn::Sequential> filter;
+    nn::Sgd optimizer;
+    nn::SoftmaxCrossEntropy loss;
+  };
 
   tensor::Tensor images_;
   // Per sample, kept across crafts: the random image A, the filter's
@@ -50,6 +62,8 @@ class ZkaRAttack : public ZkaAttack {
   std::vector<tensor::Tensor> sources_;
   std::vector<util::Rng> filter_rngs_;
   std::vector<double> sample_losses_;
+  // One per participant of the global pool, built by the first craft.
+  std::vector<FilterSlot> filter_slots_;
 };
 
 }  // namespace zka::core

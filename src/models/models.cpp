@@ -70,6 +70,10 @@ std::unique_ptr<nn::Sequential> make_filter_layer(const ImageSpec& spec,
   return net;
 }
 
+void redraw_filter_layer(nn::Sequential& filter, util::Rng& rng) {
+  dynamic_cast<nn::Conv2d&>(filter.layer(0)).reset_parameters(rng);
+}
+
 std::unique_ptr<nn::Sequential> make_tcnn_generator(const ImageSpec& spec,
                                                     std::int64_t latent_dim,
                                                     util::Rng& rng) {

@@ -45,6 +45,10 @@ std::unique_ptr<nn::Sequential> make_filter_layer(const ImageSpec& spec,
                                                   std::int64_t kernel,
                                                   util::Rng& rng);
 
+/// Re-draws a make_filter_layer() filter's parameters in place from `rng`:
+/// the weight make_filter_layer(spec, kernel, rng) would draw, zero bias.
+void redraw_filter_layer(nn::Sequential& filter, util::Rng& rng);
+
 /// ZKA-G's generator: latent vector -> dense -> two stride-2 transposed
 /// convolutions -> one convolution -> tanh (Fig. 3; WGAN-style TCNN).
 /// Requires spec height/width divisible by 4.

@@ -33,11 +33,14 @@ ConvBase::ConvBase(std::int64_t in_channels, std::int64_t out_channels,
                   ? Tensor({in_channels, out_channels * kernel * kernel})
                   : Tensor({out_channels, in_channels * kernel * kernel})),
       bias_(Tensor({out_channels})) {
-  const float fan_in = static_cast<float>(in_channels * kernel * kernel);
+  reset_parameters(rng);
+}
+
+void ConvBase::reset_parameters(util::Rng& rng) {
+  const float fan_in = static_cast<float>(in_channels_ * kernel_ * kernel_);
   const float bound = std::sqrt(6.0f / fan_in);
-  for (auto& w : weight_.value.data()) {
-    w = static_cast<float>(rng.uniform(-bound, bound));
-  }
+  weight_.value.fill_uniform(rng, -bound, bound);
+  bias_.value.fill(0.0f);
 }
 
 const Tensor& ConvBase::lower(const Tensor& image, const float* bias) {

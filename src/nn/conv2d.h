@@ -28,6 +28,10 @@ class ConvBase : public Module {
  public:
   std::span<Parameter* const> parameters() override { return params_; }
 
+  /// Re-draws the weight from `rng` as the constructor drew it (the same
+  /// draws in the same order) and zeroes the bias.
+  void reset_parameters(util::Rng& rng);
+
  protected:
   /// Square kernel / stride / symmetric padding; He-uniform init, bound
   /// sqrt(6 / (in_channels * k * k)). The weight is [out, in * k * k], or

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/gemm_dispatch.h"
 #include "util/check.h"
@@ -13,6 +14,8 @@ namespace zka::tensor {
 namespace {
 
 using detail::GemmLayout;
+using detail::GemmWrite;
+using detail::kGemmKC;
 using detail::kGemmMR;
 using detail::kGemmNC;
 
@@ -49,11 +52,18 @@ const Backend& backend() {
   return b;
 }
 
-// Shared driver: applies beta, then computes C = alpha*op(A)@op(B) + C,
-// split across the pool when the pool's fork rule says so. Ranges cut C
-// into disjoint row groups (multiples of the register-tile height) or
-// column groups (multiples of the cache-block width), so every partition
-// performs bitwise-identical tile computations — see ops.h.
+// Upper bound on the K split's panel slots, in floats (4 MiB). A product
+// whose slots would not fit splits over rows or columns instead.
+constexpr std::int64_t kGemmSlotFloats = std::int64_t{1} << 20;
+
+// Shared driver: C = alpha*op(A)@op(B) + beta*C, split across the pool when
+// the pool's fork rule says so. Ranges cut C into disjoint row groups
+// (multiples of the register-tile height) or column groups (multiples of
+// the cache-block width), or, when C has too few of those to go round and
+// K has more panels, cut K into panel groups that each store their panels'
+// tiles into their own slots, which are then folded into C in ascending
+// panel order. Every partition performs bitwise-identical tile
+// computations and additions — see ops.h.
 void gemm_driver(GemmLayout layout, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float* a, const float* b,
                  float beta, float* c) {
@@ -71,34 +81,77 @@ void gemm_driver(GemmLayout layout, std::int64_t m, std::int64_t n,
                  static_cast<std::int64_t>(sizeof(float)) *
                      (m * k + k * n + 2 * m * n));
   ZKA_PROF_COUNT(backend().tier_counter, 1);
-  if (beta == 0.0f) {
-    std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
-  } else if (beta != 1.0f) {
-    for (std::int64_t i = 0; i < m * n; ++i) c[i] *= beta;
+  const std::int64_t mn = m * n;
+  if (alpha == 0.0f || k <= 0) {
+    if (beta == 0.0f) {
+      std::memset(c, 0, static_cast<std::size_t>(mn) * sizeof(float));
+    } else if (beta != 1.0f) {
+      for (std::int64_t i = 0; i < mn; ++i) c[i] *= beta;
+    }
+    return;
   }
-  if (alpha == 0.0f || k <= 0) return;
+  // beta 0 needs no pass over C: the first panel writes 0.0f + acc.
+  if (beta != 0.0f && beta != 1.0f) {
+    for (std::int64_t i = 0; i < mn; ++i) c[i] *= beta;
+  }
+  const GemmWrite write = beta == 0.0f ? GemmWrite::kBeta0 : GemmWrite::kAdd;
 
   const detail::GemmRangesFn ranges = backend().ranges;
+  const std::int64_t panels = (k + kGemmKC - 1) / kGemmKC;
   const std::int64_t row_units = (m + kGemmMR - 1) / kGemmMR;
   const std::int64_t col_units = (n + kGemmNC - 1) / kGemmNC;
   const bool by_rows = row_units >= col_units;
-  const auto units = static_cast<std::size_t>(by_rows ? row_units : col_units);
-  const std::int64_t unit = by_rows ? kGemmMR : kGemmNC;
-  const std::int64_t extent = by_rows ? m : n;
+  const std::int64_t units = by_rows ? row_units : col_units;
   // 2 ranges per worker for load balance; the partition never changes
   // results, only which thread computes which tiles.
   util::ThreadPool& pool = util::global_thread_pool();
   const std::size_t width =
       pool.fork_width(static_cast<std::size_t>(2 * m * n * k), kGemmForkFlops);
-  pool.for_ranges(units, width > 1 ? std::min(units, 2 * width) : 1,
+  const auto wanted = static_cast<std::int64_t>(2 * width);
+
+  if (width > 1 && units < wanted && units < panels &&
+      panels * mn <= kGemmSlotFloats) {
+    // Slot q holds panel q's tiles; kept per calling thread (a K split only
+    // runs outside the pool), so a warm call allocates nothing.
+    thread_local std::vector<float> slot_buf;
+    slot_buf.resize(static_cast<std::size_t>(panels * mn));
+    float* const slots = slot_buf.data();
+    pool.for_ranges(static_cast<std::size_t>(panels),
+                    static_cast<std::size_t>(std::min(panels, wanted)),
+                    [&](std::size_t, std::size_t q0, std::size_t q1) {
+                      const auto p0 = static_cast<std::int64_t>(q0);
+                      ranges(layout, m, n, k, alpha, a, b, slots + p0 * mn,
+                             0, m, 0, n, p0, static_cast<std::int64_t>(q1),
+                             GemmWrite::kSlots);
+                    });
+    // The fold makes each element's additions in the order one range
+    // would: c = 0.0f + acc_0 (beta 0) or c += acc_0, then c += acc_q.
+    for (std::int64_t q = 0; q < panels; ++q) {
+      const float* slot = slots + q * mn;
+      if (q == 0 && write == GemmWrite::kBeta0) {
+        for (std::int64_t i = 0; i < mn; ++i) c[i] = 0.0f + slot[i];
+      } else {
+        for (std::int64_t i = 0; i < mn; ++i) c[i] += slot[i];
+      }
+    }
+    return;
+  }
+
+  const std::int64_t unit = by_rows ? kGemmMR : kGemmNC;
+  const std::int64_t extent = by_rows ? m : n;
+  const auto u_count = static_cast<std::size_t>(units);
+  pool.for_ranges(u_count,
+                  width > 1 ? std::min(u_count, 2 * width) : 1,
                   [&](std::size_t, std::size_t u0, std::size_t u1) {
                     const auto lo = static_cast<std::int64_t>(u0) * unit;
                     const std::int64_t hi =
                         std::min(extent, static_cast<std::int64_t>(u1) * unit);
                     if (by_rows) {
-                      ranges(layout, m, n, k, alpha, a, b, c, lo, hi, 0, n);
+                      ranges(layout, m, n, k, alpha, a, b, c, lo, hi, 0, n, 0,
+                             panels, write);
                     } else {
-                      ranges(layout, m, n, k, alpha, a, b, c, 0, m, lo, hi);
+                      ranges(layout, m, n, k, alpha, a, b, c, 0, m, lo, hi, 0,
+                             panels, write);
                     }
                   });
 }
@@ -125,7 +178,8 @@ XSpan valid_span(std::int64_t extent, std::int64_t out_extent,
 // im2col/col2im core over one sample, writing into a column matrix whose
 // rows have leading dimension `ld` and whose columns for this sample start
 // at `col_offset`. Per-row the valid span is precomputed so the inner loops
-// carry no bounds checks; stride 1 degenerates to memcpy.
+// carry no bounds checks; stride 1 degenerates to a contiguous copy
+// (im2col) or add (col2im).
 void im2col_one(const ConvGeometry& g, const float* image, float* col,
                 std::int64_t ld, std::int64_t col_offset) noexcept {
   const std::int64_t oh = g.out_h();
@@ -180,8 +234,17 @@ void col2im_one(const ConvGeometry& g, const float* col, float* image,
           const std::int64_t iy = y * g.stride - g.pad + ky;
           float* dst = plane + iy * g.in_w;
           const float* src = in + y * ow;
-          for (std::int64_t x = xs.x0; x < xs.x1; ++x) {
-            dst[x * g.stride - g.pad + kx] += src[x];
+          if (g.stride == 1) {
+            // Image x - pad + kx takes column x: one contiguous run, which
+            // vectorizes (each element still gets one add per row).
+            float* __restrict d = dst + (xs.x0 - g.pad + kx);
+            const float* __restrict s = src + xs.x0;
+            const std::int64_t len = xs.x1 - xs.x0;
+            for (std::int64_t x = 0; x < len; ++x) d[x] += s[x];
+          } else {
+            for (std::int64_t x = xs.x0; x < xs.x1; ++x) {
+              dst[x * g.stride - g.pad + kx] += src[x];
+            }
           }
         }
       }

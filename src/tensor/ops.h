@@ -5,16 +5,19 @@
 //
 // Every GEMM kernel accumulates in float32 (binary32) registers, never in
 // double. The cache-blocked implementation fixes the association order of
-// the additions: the k dimension is walked in KC=256 panels, ascending, and
-// within a panel each MRxNR register tile accumulates p = 0..kc-1 in order.
+// the additions: the k dimension is walked in KC=256 panels, ascending;
+// within a panel each MRxNR register tile accumulates p = 0..kc-1 in order
+// from zero, and the panel's sum is then added into C (c += acc). With
+// beta = 0 the first panel writes c = 0.0f + acc instead, the bits the add
+// gives on a zeroed C, so C is never cleared first and its old contents
+// (NaN included) are never read.
 // Consequences:
 //   * gemm / gemm_at_b / gemm_a_bt round identically for the same logical
 //     product, so weight gradients and input gradients see one rounding
 //     policy (the seed kernels mixed float and double accumulation);
 //   * results are bitwise identical run-to-run and independent of both the
-//     thread count and the parallel partition, because threads split C into
-//     disjoint tiles along tile boundaries and never share an accumulator
-//     (no atomics anywhere in the accumulation path);
+//     thread count and the parallel partition (no atomics anywhere in the
+//     accumulation path);
 //   * results may differ across ISA tiers (FMA contracts one rounding step)
 //     and from the seed kernels (different association order) by normal
 //     float32 epsilon. On any given machine the selected tier is fixed, so
@@ -23,11 +26,25 @@
 // ## Threading
 //
 // Large GEMMs are split over the process-wide util::global_thread_pool()
-// into disjoint row/column ranges aligned to the blocking scheme, when the
-// pool's fork rule (ThreadPool::fork_width) says so. A kernel nested in a
-// pool task (e.g. inside an FL client wave) runs as one range on its
-// thread, and so does every kernel called from inside a one-index
-// parallel_for: that is how a caller gets a serial run.
+// when the pool's fork rule (ThreadPool::fork_width) says so, in one of two
+// ways, both of which keep every element's additions in the order above:
+//   * into disjoint row or column ranges aligned to the blocking scheme,
+//     when C has at least as many register-tile rows or cache-block columns
+//     as the split wants ranges (two per worker) or as K has panels;
+//   * otherwise, as for a weight gradient (C small, K = batch x spatial
+//     long), into ranges of k-panels. Each panel stores its tile sums into
+//     its own slot (slot = acc, never added onto anything), and the calling
+//     thread then folds the slots into C in ascending panel order: c += slot
+//     (c = 0.0f + slot for the first when beta = 0), which is the sequence of
+//     additions one range makes. The slots stay below 4 MiB per calling
+//     thread; a product that would need more splits by rows or columns.
+// A kernel nested in a pool task (e.g. inside an FL client wave) runs as
+// one range on its thread, and so does every kernel called from inside a
+// one-index parallel_for: that is how a caller gets a serial run.
+//
+// im2col/col2im split over samples (disjoint column slabs and images).
+// col2im adds each column into its image element in (row, y, x) order
+// whatever the stride; stride 1 runs as contiguous adds.
 #pragma once
 
 #include <cstdint>

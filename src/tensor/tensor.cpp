@@ -51,10 +51,14 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
 
 Tensor Tensor::uniform(Shape shape, util::Rng& rng, float lo, float hi) {
   Tensor t(std::move(shape));
-  for (float& x : t.data_) {
+  t.fill_uniform(rng, lo, hi);
+  return t;
+}
+
+void Tensor::fill_uniform(util::Rng& rng, float lo, float hi) noexcept {
+  for (float& x : data_) {
     x = static_cast<float>(rng.uniform(lo, hi));
   }
-  return t;
 }
 
 Tensor Tensor::normal(Shape shape, util::Rng& rng, float mean, float stddev) {

@@ -42,6 +42,8 @@ class Tensor {
   /// Uniform random entries in [lo, hi).
   static Tensor uniform(Shape shape, util::Rng& rng, float lo = 0.0f,
                         float hi = 1.0f);
+  /// Overwrites every entry, in order, with the draws uniform() makes.
+  void fill_uniform(util::Rng& rng, float lo, float hi) noexcept;
   /// Gaussian random entries.
   static Tensor normal(Shape shape, util::Rng& rng, float mean = 0.0f,
                        float stddev = 1.0f);

@@ -1,6 +1,7 @@
 // Allocation gate: a steady-state training step, a client's whole local
 // training, an eval (one serial batch, or a whole pool eval), ZKA step 2,
-// a ZKA-R synthesis epoch and a ZKA-G generator epoch allocate nothing.
+// a ZKA-R synthesis epoch and a ZKA-G generator epoch allocate nothing,
+// and a warm ZKA-R craft allocates nothing per sample.
 // This binary replaces the global operator new/delete with counting
 // versions; each case runs its step once to warm the buffers up, then
 // counts every allocation, on any thread, made while the step runs again.
@@ -27,6 +28,7 @@
 #include "models/models.h"
 #include "nn/loss.h"
 #include "nn/sgd.h"
+#include "serially.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -206,6 +208,39 @@ TEST(AllocationGate, ZkaRSynthesisEpoch) {
               0)
         << (frozen ? "frozen" : "unfrozen") << " classifier";
   }
+}
+
+// A warm ZKA-R craft allocates as much at |S| = 4 as at |S| = 16: each
+// participant keeps its filter, optimizer and loss across samples and
+// crafts, and the random images are drawn into kept tensors, so nothing is
+// allocated per sample. (What a craft does allocate, its returned update
+// among it, does not depend on |S|.) The crafts run serially: on the pool,
+// which participant takes a sample varies from craft to craft, and one
+// that takes its first sample in the counted craft sizes its buffers then.
+TEST(AllocationGate, ZkaRCraftAllocatesNothingPerSample) {
+  const auto factory = models::task_model_factory(models::Task::kFashion);
+  const std::vector<float> global = nn::get_flat_params(*factory(18));
+  std::vector<float> prev = global;
+  prev[0] += 0.01f;
+  data::ReplicaSet replicas(factory);
+  attack::AttackContext ctx;
+  ctx.replicas = &replicas;
+  ctx.global_model = global;
+  ctx.prev_global_model = prev;
+  ctx.round = 1;
+  ctx.num_selected = 10;
+  ctx.num_malicious_selected = 2;
+  const auto warm_craft_allocations = [&](std::int64_t s_count) {
+    core::ZkaOptions opts;
+    opts.synthetic_size = s_count;
+    opts.synthesis_epochs = 2;
+    opts.classifier.epochs = 1;
+    opts.classifier.batch_size = 4;
+    core::ZkaRAttack attack(models::Task::kFashion, opts, 19);
+    return steady_state_allocations(
+        [&] { test::serially([&] { attack.craft(ctx); }); });
+  };
+  EXPECT_EQ(warm_craft_allocations(4), warm_craft_allocations(16));
 }
 
 // One ZKA-G generator epoch as ZkaGAttack::synthesize runs it: G(Z), the

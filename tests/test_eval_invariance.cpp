@@ -113,7 +113,9 @@ std::vector<float> run_gemm(const Tier& tier,
                             const std::vector<float>& a,
                             const std::vector<float>& b) {
   std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
-  tier.fn(layout, m, n, k, 1.0f, a.data(), b.data(), c.data(), 0, m, 0, n);
+  tier.fn(layout, m, n, k, 1.0f, a.data(), b.data(), c.data(), 0, m, 0, n, 0,
+          (k + tensor::detail::kGemmKC - 1) / tensor::detail::kGemmKC,
+          tensor::detail::GemmWrite::kAdd);
   return c;
 }
 
@@ -195,6 +197,70 @@ TEST(BatchInvariance, GemmColumnsAndRowsDoNotDependOnTheOperandSize) {
                 << tier.name << " layout " << static_cast<int>(layout)
                 << ": C[" << i << ", " << j << "] at M = " << m;
           }
+        }
+      }
+    }
+  }
+}
+
+// The K split of the GEMM driver, on each tier and layout: k-panel ranges
+// that store their tiles into per-panel slots, folded into C in ascending
+// panel order (c = 0.0f + slot 0 for beta 0, c += slot otherwise), give
+// the bits of one range over every panel. Random skinny shapes, K with a
+// partial last panel, random panel cuts, beta 0 / 1 / 0.5.
+TEST(KSplit, SlotsFoldedInPanelOrderEqualOneRange) {
+  using tensor::detail::GemmLayout;
+  using tensor::detail::GemmWrite;
+  using tensor::detail::kGemmKC;
+  util::Rng rng(41);
+  for (const Tier& tier : runnable_tiers()) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto m = static_cast<std::int64_t>(1 + rng.uniform_index(13));
+      const auto n = static_cast<std::int64_t>(1 + rng.uniform_index(90));
+      const auto panels = static_cast<std::int64_t>(2 + rng.uniform_index(7));
+      const std::int64_t k =
+          (panels - 1) * kGemmKC +
+          static_cast<std::int64_t>(1 + rng.uniform_index(kGemmKC - 1));
+      const std::vector<float> a = random_vector(m * k, rng);
+      const std::vector<float> b = random_vector(k * n, rng);
+      const std::vector<float> c0 = random_vector(m * n, rng);
+      const std::int64_t mn = m * n;
+      for (const GemmLayout layout :
+           {GemmLayout::kAB, GemmLayout::kAtB, GemmLayout::kABt}) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          // C after beta, as the driver leaves it before the product.
+          std::vector<float> scaled = c0;
+          if (beta != 0.0f) {
+            for (float& x : scaled) x *= beta;
+          }
+          const GemmWrite write =
+              beta == 0.0f ? GemmWrite::kBeta0 : GemmWrite::kAdd;
+          std::vector<float> one = scaled;
+          tier.fn(layout, m, n, k, 1.0f, a.data(), b.data(), one.data(), 0, m,
+                  0, n, 0, panels, write);
+
+          std::vector<float> slots(static_cast<std::size_t>(panels * mn),
+                                   -1.0f);
+          for (std::int64_t q0 = 0; q0 < panels;) {
+            const std::int64_t q1 = std::min(
+                panels,
+                q0 + 1 + static_cast<std::int64_t>(rng.uniform_index(3)));
+            tier.fn(layout, m, n, k, 1.0f, a.data(), b.data(),
+                    slots.data() + q0 * mn, 0, m, 0, n, q0, q1,
+                    GemmWrite::kSlots);
+            q0 = q1;
+          }
+          std::vector<float> folded = scaled;
+          for (std::int64_t q = 0; q < panels; ++q) {
+            for (std::int64_t i = 0; i < mn; ++i) {
+              const float s = slots[static_cast<std::size_t>(q * mn + i)];
+              float& c = folded[static_cast<std::size_t>(i)];
+              c = q == 0 && beta == 0.0f ? 0.0f + s : c + s;
+            }
+          }
+          EXPECT_TRUE(same_bits(folded, one))
+              << tier.name << " layout " << static_cast<int>(layout) << " m="
+              << m << " n=" << n << " k=" << k << " beta " << beta;
         }
       }
     }

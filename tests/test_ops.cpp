@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "serially.h"
@@ -13,15 +13,6 @@
 
 namespace zka::tensor {
 namespace {
-
-// Force a multi-worker pool even on single-core CI machines so the chunked
-// (threaded) GEMM path is exercised by the determinism tests below. Runs at
-// static init, before the global pool's first (lazy) construction; an
-// explicit ZKA_THREADS in the environment still wins (overwrite = 0).
-const bool kForcePoolWorkers = [] {
-  setenv("ZKA_THREADS", "4", 0);
-  return true;
-}();
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -242,6 +233,101 @@ TEST(GemmBlocked, SkinnyMatricesChunkColumnsDeterministically) {
             0);
 }
 
+// One of gemm / gemm_at_b / gemm_a_bt by layout index (0, 1, 2).
+void gemm_by_layout(int layout, std::int64_t m, std::int64_t n,
+                    std::int64_t k, const float* a, const float* b,
+                    float beta, float* c) {
+  switch (layout) {
+    case 0:
+      gemm(m, n, k, 1.0f, a, b, beta, c);
+      break;
+    case 1:
+      gemm_at_b(m, n, k, 1.0f, a, b, beta, c);
+      break;
+    default:
+      gemm_a_bt(m, n, k, 1.0f, a, b, beta, c);
+      break;
+  }
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Random skinny shapes: at most 3 row units and 1 column unit, and K long
+// enough to cross the fork point, with a partial last k-panel. On a pool
+// of 2 or more workers the driver splits such a product over k-panels (the
+// dW shape of a small conv layer); the serial leg runs it as one range.
+// Every layout and beta 0 / 1 / 0.5 give the serial bits.
+TEST(GemmBlocked, KSplitEqualsOneRange) {
+  util::Rng rng(990);
+  for (int trial = 0; trial < 12; ++trial) {
+    const auto m = static_cast<std::int64_t>(1 + rng.uniform_index(12));
+    const auto n = static_cast<std::int64_t>(8 + rng.uniform_index(120));
+    const std::int64_t min_k = (std::int64_t{1} << 22) / (2 * m * n) + 1;
+    const std::int64_t panels = std::max<std::int64_t>(min_k / 256 + 2, 4);
+    const std::int64_t k =
+        panels * 256 - static_cast<std::int64_t>(1 + rng.uniform_index(255));
+    const auto a = random_vec(m * k, 1000 + trial);
+    const auto b = random_vec(k * n, 2000 + trial);
+    const auto c0 = random_vec(m * n, 3000 + trial);
+    for (int layout = 0; layout < 3; ++layout) {
+      for (const float beta : {0.0f, 1.0f, 0.5f}) {
+        std::vector<float> c_pool = c0;
+        std::vector<float> c_serial = c0;
+        gemm_by_layout(layout, m, n, k, a.data(), b.data(), beta,
+                       c_pool.data());
+        test::serially([&] {
+          gemm_by_layout(layout, m, n, k, a.data(), b.data(), beta,
+                         c_serial.data());
+        });
+        EXPECT_TRUE(same_bits(c_pool, c_serial))
+            << "m=" << m << " n=" << n << " k=" << k << " layout " << layout
+            << " beta " << beta;
+      }
+    }
+  }
+}
+
+// beta = 0 never reads C: over a C of NaN and -0 it gives the bits of a
+// zeroed C plus the product (the memset-then-add path), on shapes that run
+// as one range, split by rows, by columns and by k-panels, in the pool and
+// serially.
+TEST(GemmBlocked, BetaZeroOverwritesNanAndNegativeZero) {
+  const GemmShape shapes[] = {
+      {5, 33, 257}, {193, 517, 301}, {8, 4096, 200}, {6, 40, 9000}};
+  int idx = 0;
+  for (const auto& s : shapes) {
+    const auto a = random_vec(s.m * s.k, 1100 + idx);
+    const auto b = random_vec(s.k * s.n, 1200 + idx);
+    ++idx;
+    std::vector<float> dirty(static_cast<std::size_t>(s.m * s.n));
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      dirty[i] = i % 2 == 0 ? std::numeric_limits<float>::quiet_NaN() : -0.0f;
+    }
+    for (int layout = 0; layout < 3; ++layout) {
+      std::vector<float> want(dirty.size(), 0.0f);
+      gemm_by_layout(layout, s.m, s.n, s.k, a.data(), b.data(), 1.0f,
+                     want.data());
+      std::vector<float> c_pool = dirty;
+      std::vector<float> c_serial = dirty;
+      gemm_by_layout(layout, s.m, s.n, s.k, a.data(), b.data(), 0.0f,
+                     c_pool.data());
+      test::serially([&] {
+        gemm_by_layout(layout, s.m, s.n, s.k, a.data(), b.data(), 0.0f,
+                       c_serial.data());
+      });
+      EXPECT_TRUE(same_bits(c_pool, want))
+          << "shape (" << s.m << "," << s.n << "," << s.k << ") layout "
+          << layout;
+      EXPECT_TRUE(same_bits(c_serial, want))
+          << "serial, shape (" << s.m << "," << s.n << "," << s.k
+          << ") layout " << layout;
+    }
+  }
+}
+
 TEST(Im2ColBatched, MatchesPerSampleLowering) {
   const ConvGeometry g{3, 9, 7, 3, 2, 1};
   const std::int64_t batch = 5;
@@ -326,6 +412,61 @@ TEST(Im2Col, StridedAndPaddedMatchesDirectIndexing) {
         }
       }
     }
+  }
+}
+
+// col2im_batched equals a direct-index scatter, element by element in the
+// same (row, y, x) order, on random geometries: stride 1-3, pad 0-2,
+// kernel 1-5, several samples.
+TEST(Col2ImBatched, MatchesDirectScatterOnRandomGeometries) {
+  util::Rng rng(980);
+  for (int trial = 0; trial < 40; ++trial) {
+    ConvGeometry g;
+    g.in_channels = static_cast<std::int64_t>(1 + rng.uniform_index(3));
+    g.kernel = static_cast<std::int64_t>(1 + rng.uniform_index(5));
+    g.stride = static_cast<std::int64_t>(1 + rng.uniform_index(3));
+    g.pad = static_cast<std::int64_t>(rng.uniform_index(3));
+    g.in_h = static_cast<std::int64_t>(1 + rng.uniform_index(12));
+    g.in_w = static_cast<std::int64_t>(1 + rng.uniform_index(12));
+    if (g.in_h + 2 * g.pad < g.kernel || g.in_w + 2 * g.pad < g.kernel) {
+      continue;  // no output position
+    }
+    const auto batch = static_cast<std::int64_t>(1 + rng.uniform_index(5));
+    const std::int64_t spatial = g.out_h() * g.out_w();
+    const std::int64_t ld = batch * spatial;
+    const std::int64_t image_size = g.in_channels * g.in_h * g.in_w;
+    const auto col = random_vec(g.patch_size() * ld, 4000 + trial);
+    const auto start = random_vec(batch * image_size, 5000 + trial);
+
+    std::vector<float> got = start;
+    col2im_batched(g, col.data(), batch, got.data());
+
+    std::vector<float> want = start;
+    for (std::int64_t s = 0; s < batch; ++s) {
+      std::int64_t row = 0;
+      for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+            for (std::int64_t y = 0; y < g.out_h(); ++y) {
+              for (std::int64_t x = 0; x < g.out_w(); ++x) {
+                const std::int64_t iy = y * g.stride - g.pad + ky;
+                const std::int64_t ix = x * g.stride - g.pad + kx;
+                if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+                want[static_cast<std::size_t>(s * image_size +
+                                              (c * g.in_h + iy) * g.in_w +
+                                              ix)] +=
+                    col[static_cast<std::size_t>(row * ld + s * spatial +
+                                                 y * g.out_w() + x)];
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(same_bits(got, want))
+        << "C=" << g.in_channels << " H=" << g.in_h << " W=" << g.in_w
+        << " k=" << g.kernel << " stride=" << g.stride << " pad=" << g.pad
+        << " batch=" << batch;
   }
 }
 
